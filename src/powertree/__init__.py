@@ -25,7 +25,8 @@ from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
                      dihedral_group, direct_product,
                      elementary_abelian_group, psl2_group, quaternion_group,
                      spec_order, symmetric_group)
-from .determinant import det_bareiss, det_crt, ones_plus_laplacian
+from .determinant import (ExactnessError, det_bareiss, det_crt,
+                          ones_plus_laplacian)
 from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
                           SimpleGroupFact, recognize)
 from .treecount import (ENGINES, KappaReport, closed_form_psl2,
@@ -44,6 +45,7 @@ __all__ = [
     "Component",
     "ComponentDecomposition",
     "ElementProfile",
+    "ExactnessError",
     "FactoredInt",
     "FieldElement",
     "FiniteGroup",

@@ -4,6 +4,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 DEFAULT_FACTOR_BOUND = 10_000
+# Python refuses str() and int() on decimals longer than its int-to-str limit
+# (4300 digits by default, at least 640); longer numbers go through in halves.
+_SAFE_DIGITS = 600
+_LOG10_2 = 0.30102999566398120
 
 
 def is_prime(n: int) -> bool:
@@ -79,6 +83,35 @@ def prime_power(n: int) -> tuple[int, int] | None:
         return None
     ((p, k),) = fac.items()
     return p, k
+
+
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of |n| (1 for zero), by arithmetic alone."""
+    n = abs(n)
+    digits = max(1, int(n.bit_length() * _LOG10_2))  # never more than the true count
+    while 10 ** digits <= n:
+        digits += 1
+    return digits
+
+
+def decimal_str(n: int) -> str:
+    """``str(n)`` for n >= 0 of any length: long ones are converted in halves."""
+    digits = decimal_digits(n)
+    if digits <= _SAFE_DIGITS:
+        return str(n)
+    half = digits // 2
+    high, low = divmod(n, 10 ** half)
+    return decimal_str(high) + decimal_str(low).zfill(half)
+
+
+def parse_decimal(text: str) -> int:
+    """``int(text)`` for decimal literals of any length (the inverse of decimal_str)."""
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed decimal literal of {len(text)} characters")
+    half = len(text) // 2
+    return parse_decimal(text[:-half]) * 10 ** half + parse_decimal(text[-half:])
 
 
 def valuation(n: int, p: int) -> int:
@@ -165,10 +198,10 @@ class FactoredInt:
                     raise ValueError(f"non-positive exponent in token {token!r}")
             else:
                 try:
-                    p, e = int(token), 1
+                    p, e = parse_decimal(token), 1
                 except ValueError:
                     raise ValueError(f"malformed factor token {token!r}") from None
-                if not (is_prime(p) and p <= bound):
+                if not (p <= bound and is_prime(p)):
                     # trailing cofactor: must come last and dodge every small prime
                     if pos != len(tokens) - 1:
                         raise ValueError(f"cofactor token {token!r} must come last")
@@ -196,7 +229,7 @@ class FactoredInt:
     def __str__(self) -> str:
         parts = [f"{p}^{e}" if e != 1 else str(p) for p, e in sorted(self.factors.items())]
         if self.cofactor != 1:
-            parts.append(str(self.cofactor))
+            parts.append(decimal_str(self.cofactor))
         return "*".join(parts) if parts else "1"
 
     def __int__(self) -> int:

@@ -10,14 +10,14 @@ import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, euler_phi, is_prime,
-                    iter_primes, prime_power)
-from .determinant import det_bareiss, det_crt, ones_plus_laplacian
+from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_digits, euler_phi,
+                    is_prime, iter_primes, prime_power)
+from .determinant import twin_quotient_det
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices,
                      reduced_power_graph)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
-from .treecount import BAREISS_MAX_DIM, kappa_decomposed
+from .treecount import kappa_decomposed
 
 CLAIM_IDS = (
     "pgroup-component-count",
@@ -99,18 +99,9 @@ class GroupBundle:
 
     @property
     def det_jq(self) -> int:
-        """det(J + Q) of the full power graph."""
+        """det(J + Q) of the full power graph, through its closed-twin quotient."""
         if self._det_jq is None:
-            graph = self.graph
-            if graph.is_complete():
-                # J + Q is n*I when every vertex has full degree
-                self._det_jq = graph.n ** graph.n
-            else:
-                matrix = ones_plus_laplacian(graph)
-                if graph.n <= BAREISS_MAX_DIM:
-                    self._det_jq = det_bareiss(matrix)
-                else:
-                    self._det_jq = det_crt(matrix)
+            self._det_jq = twin_quotient_det(self.graph.rows, range(self.graph.n))
         return self._det_jq
 
     @property
@@ -127,10 +118,14 @@ def _as_bundle(source) -> GroupBundle:
 
 
 def _fmt(value: int) -> str:
-    text = str(value)
-    if len(text) <= 40:
-        return text
-    return f"{text[:12]}...{text[-6:]} ({len(text)} digits)"
+    """The value, or its first 12 and last 6 digits and its length when longer than 40."""
+    digits = decimal_digits(value)
+    if digits <= 40:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    return (f"{sign}{value // 10 ** (digits - 12)}...{value % 10 ** 6:06d} "
+            f"({digits} digits)")
 
 
 def verify_component_count(source) -> VerificationResult:

@@ -1,10 +1,17 @@
-"""Exact integer determinants: fraction-free elimination and a CRT fallback."""
+"""Exact integer determinants: fraction-free elimination, a CRT fallback and
+the closed-twin quotient of det(J + Q)."""
 from __future__ import annotations
 
 import numpy as np
 
+BAREISS_MAX_DIM = 64  # beyond this, the CRT determinant takes over
 _WORD_PRIME_CEILING = 1 << 31  # products of two residues must fit in int64
 _prime_pool: list[int] = []
+
+
+class ExactnessError(ArithmeticError):
+    """An exact-arithmetic invariant failed: an inexact division, or two
+    exact routes to the same number disagreeing."""
 
 
 def ones_plus_laplacian(graph) -> list[list[int]]:
@@ -33,7 +40,7 @@ def det_bareiss(matrix) -> int:
     Entries stay integral throughout: a double elimination step divides a 3x3
     minor by the square of the previous pivot (a 2x2 minor by the pivot itself
     when only one column is left, or when the 2x2 leading minor vanishes).
-    Every division is asserted exact.
+    Every division is checked exact; a remainder raises ExactnessError.
     """
     n = _check_square(matrix)
     if n == 0:
@@ -75,10 +82,12 @@ def det_bareiss(matrix) -> int:
                             m01 * row_i[j] - m02 * row_k1[j] + m12 * row_k[j]
                         )
                         q, rem = divmod(minor3, prev_sq)
-                        assert rem == 0, "inexact division in two-step elimination"
+                        if rem:
+                            raise ExactnessError("inexact division in two-step elimination")
                         row_i[j] = q
                 q, rem = divmod(p2, prev)
-                assert rem == 0, "inexact pivot division in two-step elimination"
+                if rem:
+                    raise ExactnessError("inexact pivot division in two-step elimination")
                 prev = q
                 k += 2
                 continue
@@ -90,7 +99,8 @@ def det_bareiss(matrix) -> int:
             row_k = a[k]
             for j in range(k + 1, n):
                 q, rem = divmod(pivot * row_i[j] - rik * row_k[j], prev)
-                assert rem == 0, "inexact division in elimination"
+                if rem:
+                    raise ExactnessError("inexact division in elimination")
                 row_i[j] = q
         prev = pivot
         k += 1
@@ -197,3 +207,57 @@ def det_crt(matrix) -> int:
     if total > product // 2:
         total -= product
     return total
+
+
+def det_exact(matrix, backend: str = "auto") -> int:
+    """Exact determinant by "bareiss", "crt", or "auto" (Bareiss up to
+    dimension BAREISS_MAX_DIM, CRT above)."""
+    if backend == "bareiss" or (backend == "auto" and len(matrix) <= BAREISS_MAX_DIM):
+        return det_bareiss(matrix)
+    if backend in ("crt", "auto"):
+        return det_crt(matrix)
+    raise ValueError(f"unknown determinant backend {backend!r}")
+
+
+def twin_quotient_det(rows, vertices, backend: str = "auto") -> int:
+    """det(J + Q) of the subgraph induced on `vertices`, from bitset adjacency rows.
+
+    Vertices with equal closed neighbourhoods (closed twins) form classes C,
+    each a clique whose members see the same vertices outside it. On vectors
+    that sum to zero inside a class, J + Q acts as d_C + 1; on vectors
+    constant on classes it acts as the r x r quotient B, with B_ii = d_i + 1
+    and B_ij = |C_j| for non-adjacent classes, 0 for adjacent ones (the
+    equitable-partition argument, Godsil & Royle, Algebraic Graph Theory,
+    ch. 9). Hence det(J + Q) = prod_C (d_C + 1)^(|C| - 1) * det(B). In a power
+    graph the generators of one cyclic subgroup are closed twins.
+
+    det(J + Q) = m^2 * kappa for every graph on m vertices, so a result not
+    divisible by m^2 raises ExactnessError.
+    """
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    classes: dict[int, list[int]] = {}  # closed neighbourhood -> [size, representative]
+    for v in vertices:
+        key = rows[v] & mask | 1 << v
+        entry = classes.get(key)
+        if entry is None:
+            classes[key] = [1, v]
+        else:
+            entry[0] += 1
+    product = 1
+    quotient = []
+    for i, (key, (size, _)) in enumerate(classes.items()):
+        closed_degree = key.bit_count()  # d + 1
+        product *= closed_degree ** (size - 1)
+        row = [0 if key >> rep & 1 else other for other, rep in classes.values()]
+        row[i] = closed_degree
+        quotient.append(row)
+    if len(quotient) == 1:  # one class: a complete graph, J + Q = m * I
+        value = product * quotient[0][0]
+    else:
+        value = product * det_exact(quotient, backend)
+    m = mask.bit_count()
+    if m and value % (m * m):
+        raise ExactnessError(f"det(J+Q) on {m} vertices is not divisible by {m}^2")
+    return value

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, prime_power
-from .determinant import det_bareiss, det_crt, ones_plus_laplacian
+from .determinant import (ExactnessError, det_exact, ones_plus_laplacian,
+                          twin_quotient_det)
 from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 
-BAREISS_MAX_DIM = 64  # beyond this, matrix-tree switches to the CRT determinant
 DC_VERTEX_LIMIT = 12
 CROSS_CHECK_MAX_DIM = 64
 
@@ -24,21 +24,16 @@ def _require_connected(graph: Graph) -> None:
 
 def kappa_matrix_tree(graph: Graph, det: str = "auto",
                       factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count as det(J + Q) / n^2 on the whole graph.
+    """Spanning-tree count as det(J + Q) / n^2 on the whole n x n matrix.
 
     ``det`` picks the determinant backend: "bareiss", "crt", or "auto"
-    (Bareiss up to dimension 64, CRT above).
+    (Bareiss up to dimension BAREISS_MAX_DIM, CRT above).
     """
     _require_connected(graph)
-    matrix = ones_plus_laplacian(graph)
-    if det == "bareiss" or (det == "auto" and graph.n <= BAREISS_MAX_DIM):
-        value = det_bareiss(matrix)
-    elif det in ("crt", "auto"):
-        value = det_crt(matrix)
-    else:
-        raise ValueError(f"unknown determinant backend {det!r}")
+    value = det_exact(ones_plus_laplacian(graph), det)
     count, rem = divmod(value, graph.n * graph.n)
-    assert rem == 0, "det(J+Q) must be divisible by n^2 on a connected graph"
+    if rem:
+        raise ExactnessError(f"det(J+Q) on {graph.n} vertices is not divisible by {graph.n}^2")
     return FactoredInt.from_int(count, factor_bound)
 
 
@@ -46,18 +41,23 @@ def kappa_decomposed(graph: Graph, det: str = "auto",
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count as the product over biconnected blocks.
 
-    Complete blocks contribute m^(m-2) directly; every other block goes
-    through the matrix-tree engine on the induced subgraph.
+    Complete blocks contribute m^(m-2) directly; every other block contributes
+    det(J + Q) / m^2 of the block, through its closed-twin quotient
+    (``twin_quotient_det``, with ``det`` as the quotient's backend).
     """
     _require_connected(graph)
+    rows = graph.rows
     result = FactoredInt.one()
     for block in graph.biconnected_blocks():
-        sub = graph.subgraph(block)
         m = len(block)
-        if sub.is_complete():
+        mask = 0
+        for v in block:
+            mask |= 1 << v
+        if all(rows[v] & mask == mask ^ 1 << v for v in block):
             result = result * FactoredInt.from_int(m, factor_bound) ** (m - 2)
         else:
-            result = result * kappa_matrix_tree(sub, det, factor_bound)
+            count = twin_quotient_det(rows, block, det) // (m * m)
+            result = result * FactoredInt.from_int(count, factor_bound)
     return result
 
 
@@ -199,7 +199,10 @@ def compute_kappa(graph: Graph, engine: str = "auto",
         name = "decomposition"
         if graph.n <= CROSS_CHECK_MAX_DIM:
             other = kappa_matrix_tree(graph, "bareiss", factor_bound)
-            assert other.value == value.value, "engine disagreement on the same graph"
+            if other.value != value.value:
+                raise ExactnessError(
+                    f"engine disagreement on the same graph: decomposition {value.value}, "
+                    f"matrix_tree {other.value}")
             cross_checked = True
     elif engine == "matrix_tree":
         value = kappa_matrix_tree(graph, "bareiss", factor_bound)

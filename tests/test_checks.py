@@ -9,6 +9,7 @@ from powertree import (CLAIM_IDS, GroupBundle, build_group, build_power_graph,
                        verify_maximal_order_divisor,
                        verify_maximal_prime_divisor, verify_product_bound,
                        verify_simple_order_count)
+from powertree.checks import _fmt
 
 
 def _subgroups_of_order(group, order, limit=None):
@@ -225,3 +226,25 @@ def test_load_manifest(tmp_path):
     custom = tmp_path / "corpus.txt"
     custom.write_text("# comment\ncyclic:6\n\nquaternion:8  # trailing\n")
     assert load_manifest(custom) == ["cyclic:6", "quaternion:8"]
+
+
+@pytest.mark.parametrize("spec", load_manifest())
+def test_det_jq_equals_n_squared_kappa(spec):
+    bundle = GroupBundle(spec)
+    assert bundle.det_jq == bundle.group.n ** 2 * bundle.kappa.value
+
+
+def test_fmt_abbreviates_without_str():
+    assert _fmt(12345) == "12345"
+    assert _fmt(10 ** 39) == str(10 ** 39)
+    assert _fmt(10 ** 40 + 7) == "100000000000...000007 (41 digits)"
+    huge = 123456789012345 * 10 ** 5000 + 4321  # past the int-to-str limit
+    assert _fmt(huge) == "123456789012...004321 (5015 digits)"
+    assert _fmt(-(10 ** 5000)) == "-100000000000...000000 (5001 digits)"
+
+
+def test_full_degree_claim_on_a_det_past_the_str_limit():
+    (row,) = run_verifications(["cyclic:1849"], ["full-degree-det-divisor"])
+    assert row.holds
+    assert row.witness.startswith("1849^1849 divides det(J+Q) = ")
+    assert row.witness.endswith("(6041 digits)")

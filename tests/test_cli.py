@@ -73,6 +73,14 @@ def test_verify_claim_filter(capsys):
     assert lines[0].startswith("PASS full-degree-det-divisor [quaternion:8]")
 
 
+def test_verify_past_the_int_str_limit(capsys):
+    # det(J+Q) = 1849^1849 has 6041 digits
+    assert main(["verify", "cyclic:1849", "--claim", "full-degree-det-divisor"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS full-degree-det-divisor [cyclic:1849]")
+    assert lines[0].endswith("(6041 digits)")
+
+
 def test_verify_json(capsys):
     assert main(["verify", "cyclic:6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

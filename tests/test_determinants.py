@@ -1,12 +1,15 @@
 """Exact determinant engines against an independent oracle."""
+import itertools
 import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powertree import (build_group, build_power_graph, det_bareiss, det_crt,
-                       ones_plus_laplacian)
-from powertree.determinant import hadamard_bound_squared
+from powertree import (Graph, build_group, build_power_graph, det_bareiss,
+                       det_crt, ones_plus_laplacian)
+from powertree.determinant import hadamard_bound_squared, twin_quotient_det
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -110,3 +113,62 @@ def test_quaternion_matrix_determinant():
     assert det_crt(QUATERNION_MATRIX) == 2 ** 17
     built = ones_plus_laplacian(build_power_graph(build_group("quaternion:8")))
     assert det_bareiss(built) == 2 ** 17
+
+
+@st.composite
+def twin_graphs(draw, max_classes=6, max_size=4):
+    """A random graph with planted twin classes, then a few stray edges, relabelled.
+
+    Each class is a clique (closed twins) or an independent set (open twins);
+    two classes are either fully joined or not joined at all.
+    """
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=1, max_size=max_classes))
+    cliques = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    n = sum(sizes)
+    label = draw(st.permutations(range(n)))
+    classes, start = [], 0
+    for size in sizes:
+        classes.append([label[v] for v in range(start, start + size)])
+        start += size
+    graph = Graph(n)
+    for i, members in enumerate(classes):
+        if cliques[i]:
+            for a, b in itertools.combinations(members, 2):
+                graph.add_edge(a, b)
+        for j in range(i + 1, len(classes)):
+            if draw(st.booleans()):
+                for a in members:
+                    for b in classes[j]:
+                        graph.add_edge(a, b)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=3)):
+        if a != b:
+            graph.add_edge(a, b)
+    return graph
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_graphs())
+def test_twin_quotient_matches_full_determinants(graph):
+    matrix = ones_plus_laplacian(graph)
+    expected = int(sympy.Matrix(matrix).det())
+    assert det_bareiss(matrix) == expected
+    assert twin_quotient_det(graph.rows, range(graph.n)) == expected
+    assert twin_quotient_det(graph.rows, range(graph.n), "crt") == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_graphs(), st.data())
+def test_twin_quotient_on_induced_subgraphs(graph, data):
+    vertices = data.draw(st.lists(st.sampled_from(range(graph.n)), unique=True))
+    expected = det_bareiss(ones_plus_laplacian(graph.subgraph(vertices)))
+    assert twin_quotient_det(graph.rows, vertices) == expected
+
+
+def test_twin_quotient_of_power_graphs():
+    for spec in ("cyclic:12", "quaternion:16", "sym:4", "alt:5", "cyclic:2 x cyclic:6"):
+        graph = build_power_graph(build_group(spec))
+        expected = det_bareiss(ones_plus_laplacian(graph))
+        assert twin_quotient_det(graph.rows, range(graph.n)) == expected
+    assert twin_quotient_det([], []) == 1
+    assert twin_quotient_det([0], [0]) == 1

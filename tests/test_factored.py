@@ -5,7 +5,8 @@ import pytest
 import sympy
 
 from powertree import FactoredInt
-from powertree.arith import (euler_phi, is_prime, iter_primes, prime_factors,
+from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
+                             iter_primes, parse_decimal, prime_factors,
                              prime_power, primes_below, valuation)
 
 
@@ -97,6 +98,25 @@ def test_str_and_parse_round_trip():
     assert str(FactoredInt.from_int(540)) == "2^2*3^3*5"
     assert str(FactoredInt.from_int(1)) == "1"
     assert str(FactoredInt.from_int(2048)) == "2^11"
+
+
+def test_round_trip_past_the_int_str_limit():
+    big = FactoredInt.from_int(2 ** 5 * 10007 ** 1200)  # a 4801-digit cofactor
+    text = str(big)
+    assert text.startswith("2^5*") and len(text) == 4 + 4801
+    assert FactoredInt.parse(text) == big
+    assert FactoredInt.parse(text).cofactor == 10007 ** 1200
+    rng = random.Random(43)
+    for _ in range(50):
+        n = rng.getrandbits(rng.randrange(1, 30000))
+        text = decimal_str(n)
+        assert len(text) == decimal_digits(n)
+        assert parse_decimal(text) == n
+        if len(text) < 4000:
+            assert text == str(n)
+    assert decimal_str(10 ** 5000) == "1" + "0" * 5000
+    with pytest.raises(ValueError):
+        parse_decimal("1" * 700 + "x")
 
 
 def test_parse_literals():

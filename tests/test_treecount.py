@@ -1,14 +1,23 @@
 """Spanning-tree counting engines and closed forms."""
 import itertools
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powertree import (FactoredInt, Graph, build_group, build_power_graph,
-                       closed_form_psl2, closed_form_quaternion, compute_kappa,
+import powertree
+from powertree import (FactoredInt, Graph, GroupBundle, build_group,
+                       build_power_graph, closed_form_psl2,
+                       closed_form_quaternion, compute_kappa, det_bareiss,
                        kappa_decomposed, kappa_deletion_contraction,
-                       kappa_matrix_tree, kappa_of_group)
+                       kappa_matrix_tree, kappa_of_group, ones_plus_laplacian)
+from powertree.determinant import twin_quotient_det
 
 CYCLIC_COUNTS = {
     1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 540, 7: 7 ** 5, 9: 3 ** 14,
@@ -182,3 +191,107 @@ def test_psl2_closed_form():
     for bad in (2, 3, 6, 10):
         with pytest.raises(ValueError):
             closed_form_psl2(bad)
+
+
+@st.composite
+def connected_twin_graphs(draw):
+    """A connected graph of blown-up vertices: each base vertex becomes a clique
+    or an independent set, joined wholesale along the base graph's edges."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    cliques = draw(st.lists(st.booleans(), min_size=len(sizes), max_size=len(sizes)))
+    if len(sizes) == 1:
+        cliques = [True]  # a lone independent set would be disconnected
+    classes, start = [], 0
+    for size in sizes:
+        classes.append(range(start, start + size))
+        start += size
+    graph = Graph(start)
+    for i, members in enumerate(classes):
+        if cliques[i]:
+            for a, b in itertools.combinations(members, 2):
+                graph.add_edge(a, b)
+        # a tree edge to an earlier class keeps the graph connected
+        joined = {draw(st.integers(0, i - 1))} if i else set()
+        joined |= {j for j in range(i) if draw(st.booleans())}
+        for j in joined:
+            for a in members:
+                for b in classes[j]:
+                    graph.add_edge(a, b)
+    return graph
+
+
+def _relabelled(graph: Graph, perm) -> Graph:
+    return Graph.from_edges(graph.n, [(perm[a], perm[b]) for a, b in graph.edges()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_twin_graphs())
+def test_block_counts_multiply_to_the_whole_graph_count(graph):
+    whole, rem = divmod(det_bareiss(ones_plus_laplacian(graph)), graph.n ** 2)
+    assert rem == 0
+    product = 1
+    for block in graph.biconnected_blocks():
+        product *= twin_quotient_det(graph.rows, block) // len(block) ** 2
+    assert product == whole
+    assert kappa_decomposed(graph).value == whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_twin_graphs(), st.randoms(use_true_random=False))
+def test_kappa_is_invariant_under_relabelling(graph, rng):
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    relabelled = _relabelled(graph, perm)
+    expected = kappa_matrix_tree(graph, "bareiss").value
+    assert kappa_decomposed(relabelled).value == expected
+    assert compute_kappa(relabelled).kappa.value == expected
+
+
+def test_groups_at_the_order_cap_finish():
+    quaternion = compute_kappa(_power_graph("quaternion:1024"))
+    assert quaternion.kappa == closed_form_quaternion(256)
+    # reflections hang off the identity, so D_2n has the tree count of C_n
+    dihedral = compute_kappa(_power_graph("dihedral:2000"))
+    assert dihedral.kappa == kappa_decomposed(_power_graph("cyclic:1000"))
+    bundle = GroupBundle("cyclic:1980")
+    assert bundle.det_jq == 1980 ** 2 * compute_kappa(bundle.graph).kappa.value
+
+
+_OPTIMISED_CHECKS = textwrap.dedent("""
+    if __debug__:
+        raise SystemExit("assertions are still enabled")
+    from powertree import FactoredInt, Graph, build_group, build_power_graph
+    from powertree import determinant, treecount
+    from powertree.determinant import ExactnessError
+
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    graph = build_power_graph(build_group("cyclic:6"))
+
+    def raises(call):
+        try:
+            call()
+        except ExactnessError:
+            return True
+        return False
+
+    # the cross-check in compute_kappa sees a disagreeing matrix-tree count
+    real = treecount.kappa_matrix_tree
+    treecount.kappa_matrix_tree = lambda *args: FactoredInt.one()
+    print("cross-check", raises(lambda: treecount.compute_kappa(graph)))
+    treecount.kappa_matrix_tree = real
+    # a determinant that is not divisible by m^2
+    determinant.det_exact = lambda matrix, backend="auto": 1
+    print("quotient", raises(lambda: determinant.twin_quotient_det(path.rows, range(3))))
+    treecount.det_exact = determinant.det_exact
+    print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
+""")
+
+
+def test_exactness_checks_survive_python_optimisation():
+    source = Path(powertree.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-O", "-c", _OPTIMISED_CHECKS],
+                          capture_output=True, text=True, timeout=60,
+                          env={"PYTHONPATH": str(source)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["cross-check", "True", "quotient", "True",
+                                   "matrix-tree", "True"]
