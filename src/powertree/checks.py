@@ -107,7 +107,7 @@ class GroupBundle:
     @property
     def kappa(self) -> FactoredInt:
         if self._kappa is None:
-            self._kappa = kappa_decomposed(self.graph, "auto", self.factor_bound)
+            self._kappa = kappa_decomposed(self.graph, self.factor_bound)
         return self._kappa
 
 
@@ -264,8 +264,7 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
     orders = []
     for members in member_sets:
         sub = group.subgroup(members)
-        product *= kappa_decomposed(build_power_graph(sub), "auto",
-                                    bundle.factor_bound).value
+        product *= kappa_decomposed(build_power_graph(sub), bundle.factor_bound).value
         orders.append(sub.n)
     kappa = bundle.kappa
     holds = kappa.value > product

@@ -12,21 +12,13 @@ from .graphs import (build_power_graph, component_decomposition,
                      reduced_power_graph, to_dot, to_json)
 from .groups import DEFAULT_ORDER_CAP, build_group
 from .recognition import recognize
-from .treecount import compute_kappa
-
-_ENGINES = {
-    "auto": "auto",
-    "bareiss": "matrix_tree",
-    "crt": "crt",
-    "decompose": "decomposition",
-    "dc": "deletion_contraction",
-}
+from .treecount import ENGINES, compute_kappa
 
 
 def _add_common(sub, engine=False, factor_bound=False, order_cap=False, as_json=False):
     if engine:
-        sub.add_argument("--engine", choices=list(_ENGINES), default="auto",
-                         help="determinant/counting engine")
+        sub.add_argument("--engine", choices=ENGINES, default="auto",
+                         help="counting engine")
     if factor_bound:
         sub.add_argument("--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND,
                          metavar="N", help="trial-division bound for factoring counts")
@@ -78,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_kappa(args) -> int:
     group = build_group(args.group, args.order_cap)
     graph = build_power_graph(group)
-    report = compute_kappa(graph, _ENGINES[args.engine], args.factor_bound)
+    report = compute_kappa(graph, args.engine, args.factor_bound)
     print(f"engine time: {report.wall_time:.3f}s", file=sys.stderr)
     if args.json:
         payload = {

@@ -209,17 +209,14 @@ def det_crt(matrix) -> int:
     return total
 
 
-def det_exact(matrix, backend: str = "auto") -> int:
-    """Exact determinant by "bareiss", "crt", or "auto" (Bareiss up to
-    dimension BAREISS_MAX_DIM, CRT above)."""
-    if backend == "bareiss" or (backend == "auto" and len(matrix) <= BAREISS_MAX_DIM):
+def det_exact(matrix) -> int:
+    """Exact determinant: Bareiss up to dimension BAREISS_MAX_DIM, CRT above."""
+    if len(matrix) <= BAREISS_MAX_DIM:
         return det_bareiss(matrix)
-    if backend in ("crt", "auto"):
-        return det_crt(matrix)
-    raise ValueError(f"unknown determinant backend {backend!r}")
+    return det_crt(matrix)
 
 
-def twin_quotient_det(rows, vertices, backend: str = "auto") -> int:
+def twin_quotient_det(rows, vertices) -> int:
     """det(J + Q) of the subgraph induced on `vertices`, from bitset adjacency rows.
 
     Vertices with equal closed neighbourhoods (closed twins) form classes C,
@@ -256,7 +253,7 @@ def twin_quotient_det(rows, vertices, backend: str = "auto") -> int:
     if len(quotient) == 1:  # one class: a complete graph, J + Q = m * I
         value = product * quotient[0][0]
     else:
-        value = product * det_exact(quotient, backend)
+        value = product * det_exact(quotient)
     m = mask.bit_count()
     if m and value % (m * m):
         raise ExactnessError(f"det(J+Q) on {m} vertices is not divisible by {m}^2")

@@ -98,20 +98,26 @@ class Graph:
         return sub
 
     def _block_search(self) -> tuple[list[list[int]], set[int]]:
-        """Iterative depth-first search for biconnected blocks and cut vertices."""
+        """Iterative depth-first search for biconnected blocks and cut vertices.
+
+        Each vertex is pushed on a vertex stack when discovered. When child v of
+        u closes a block, the block is u plus the stack from v's position on.
+        """
         n = self.n
         disc = [0] * n
         low = [0] * n
-        parent = [-1] * n
+        position = [0] * n  # index of each vertex on the vertex stack
         blocks: list[list[int]] = []
         cuts: set[int] = set()
-        edge_stack: list[tuple[int, int]] = []
+        vertex_stack: list[int] = []
         timer = 1
         for root in range(n):
             if disc[root]:
                 continue
             disc[root] = low[root] = timer
             timer += 1
+            position[root] = len(vertex_stack)
+            vertex_stack.append(root)
             stack = [(root, self.neighbors(root))]
             root_children = 0
             while stack:
@@ -125,28 +131,24 @@ class Graph:
                     if low[v] < low[u]:
                         low[u] = low[v]
                     if low[v] >= disc[u]:
-                        members = set()
-                        while True:
-                            e = edge_stack.pop()
-                            members.update(e)
-                            if e == (u, v):
-                                break
-                        blocks.append(sorted(members))
+                        block = vertex_stack[position[v]:]
+                        del vertex_stack[position[v]:]
+                        block.append(u)
+                        blocks.append(sorted(block))
                         if u == root:
                             root_children += 1
                         else:
                             cuts.add(u)
                     continue
                 if disc[w] == 0:
-                    edge_stack.append((v, w))
-                    parent[w] = v
                     disc[w] = low[w] = timer
                     timer += 1
+                    position[w] = len(vertex_stack)
+                    vertex_stack.append(w)
                     stack.append((w, self.neighbors(w)))
-                elif w != parent[v] and disc[w] < disc[v]:
-                    edge_stack.append((v, w))
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
+                elif disc[w] < low[v]:
+                    low[v] = disc[w]
+            vertex_stack.pop()  # the root
             if root_children > 1:
                 cuts.add(root)
         return blocks, cuts

@@ -4,7 +4,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import factorial, gcd
 
 from .arith import euler_phi, prime_factors, prime_power
 from .fields import GF
@@ -23,9 +23,8 @@ class OrderCapError(ValueError):
 
 @dataclass(frozen=True)
 class ElementProfile:
-    """Order data for one group element."""
+    """Order data for one group element, shared by every generator of its cyclic subgroup."""
 
-    index: int
     order: int
     generator_count: int  # phi(order): generators of the cyclic subgroup
     subgroup: frozenset[int]
@@ -48,8 +47,7 @@ class FiniteGroup:
     underlying element objects (permutations, tuples) and look the result up.
     """
 
-    def __init__(self, label, elements, mul_elem, repr_elem=None,
-                 table_threshold: int = TABLE_THRESHOLD):
+    def __init__(self, label, elements, mul_elem, repr_elem=None):
         self.label = label
         self._elements = list(elements)
         self.n = len(self._elements)
@@ -60,7 +58,7 @@ class FiniteGroup:
             raise ValueError(f"duplicate elements in {label}")
         self._mul_elem = mul_elem
         self._repr_elem = repr_elem if repr_elem is not None else str
-        if self.n <= table_threshold:
+        if self.n <= TABLE_THRESHOLD:
             index = self._index
             self._table = [
                 [index[mul_elem(a, b)] for b in self._elements] for a in self._elements
@@ -115,8 +113,10 @@ class FiniteGroup:
             members.append(x)
             x = self.mul(x, a)
         order = len(members)
-        prof = ElementProfile(a, order, euler_phi(order), frozenset(members))
-        self._profiles[a] = prof
+        prof = ElementProfile(order, euler_phi(order), frozenset(members))
+        for k in range(order):  # a^k generates the same subgroup iff gcd(k, order) = 1
+            if gcd(k, order) == 1:
+                self._profiles[members[k]] = prof
         return prof
 
     def order_of(self, a: int) -> int:
@@ -231,18 +231,32 @@ class FiniteGroup:
 
 
 # -- family constructions --
+#
+# Each family has one order function: it checks the family's parameters and
+# returns the group order. The constructor calls it before building, and
+# spec_order calls it without building.
 
 
-def cyclic_group(n: int, **kw) -> FiniteGroup:
+def _cyclic_order(n: int) -> int:
     if n < 1:
         raise GroupSpecError(f"cyclic order must be positive, got {n}")
-    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n, str, **kw)
+    return n
 
 
-def dihedral_group(order: int, **kw) -> FiniteGroup:
-    """Dihedral group of the given (even) order: rotations r^i and reflections r^i s."""
+def cyclic_group(n: int) -> FiniteGroup:
+    _cyclic_order(n)
+    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n, str)
+
+
+def _dihedral_order(order: int) -> int:
     if order < 2 or order % 2:
         raise GroupSpecError(f"dihedral order must be even and >= 2, got {order}")
+    return order
+
+
+def dihedral_group(order: int) -> FiniteGroup:
+    """Dihedral group of the given (even) order: rotations r^i and reflections r^i s."""
+    _dihedral_order(order)
     n = order // 2
     elements = [(i, j) for j in (0, 1) for i in range(n)]
 
@@ -258,13 +272,18 @@ def dihedral_group(order: int, **kw) -> FiniteGroup:
             return "e" if i == 0 else f"r{i}"
         return "s" if i == 0 else f"r{i}s"
 
-    return FiniteGroup(f"dihedral:{order}", elements, mul, label, **kw)
+    return FiniteGroup(f"dihedral:{order}", elements, mul, label)
 
 
-def quaternion_group(order: int, **kw) -> FiniteGroup:
-    """Generalized quaternion (dicyclic) group of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1."""
+def _quaternion_order(order: int) -> int:
     if order % 4 or order < 8:
         raise GroupSpecError(f"quaternion order must be 4n with n >= 2, got {order}")
+    return order
+
+
+def quaternion_group(order: int) -> FiniteGroup:
+    """Generalized quaternion (dicyclic) group of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1."""
+    _quaternion_order(order)
     two_n = order // 2
     half = order // 4
     elements = [(i, j) for j in (0, 1) for i in range(two_n)]
@@ -283,15 +302,20 @@ def quaternion_group(order: int, **kw) -> FiniteGroup:
             return "e" if i == 0 else f"a{i}"
         return "b" if i == 0 else f"a{i}b"
 
-    return FiniteGroup(f"quaternion:{order}", elements, mul, label, **kw)
+    return FiniteGroup(f"quaternion:{order}", elements, mul, label)
 
 
-def elementary_abelian_group(p: int, k: int, **kw) -> FiniteGroup:
+def _elementary_abelian_order(p: int, k: int) -> int:
     fac = prime_power(p)
     if fac is None or fac[1] != 1:
         raise GroupSpecError(f"elemabelian base {p} is not prime")
     if k < 1:
         raise GroupSpecError(f"elemabelian rank must be positive, got {k}")
+    return p ** k
+
+
+def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
+    _elementary_abelian_order(p, k)
     elements = list(itertools.product(range(p), repeat=k))
 
     def mul(u, v):
@@ -300,7 +324,7 @@ def elementary_abelian_group(p: int, k: int, **kw) -> FiniteGroup:
     def label(g):
         return "(" + ",".join(map(str, g)) + ")"
 
-    return FiniteGroup(f"elemabelian:{p}:{k}", elements, mul, label, **kw)
+    return FiniteGroup(f"elemabelian:{p}:{k}", elements, mul, label)
 
 
 def _compose(a, b):
@@ -341,33 +365,47 @@ def cycle_notation(perm) -> str:
     return "".join(parts) or "e"
 
 
-def symmetric_group(n: int, **kw) -> FiniteGroup:
+def _symmetric_order(n: int) -> int:
     if n < 1:
         raise GroupSpecError(f"sym degree must be positive, got {n}")
+    return factorial(n)
+
+
+def symmetric_group(n: int) -> FiniteGroup:
+    _symmetric_order(n)
     elements = sorted(itertools.permutations(range(n)))
-    return FiniteGroup(f"sym:{n}", elements, _compose, cycle_notation, **kw)
+    return FiniteGroup(f"sym:{n}", elements, _compose, cycle_notation)
 
 
-def alternating_group(n: int, **kw) -> FiniteGroup:
+def _alternating_order(n: int) -> int:
     if n < 1:
         raise GroupSpecError(f"alt degree must be positive, got {n}")
+    return max(1, factorial(n) // 2)
+
+
+def alternating_group(n: int) -> FiniteGroup:
+    _alternating_order(n)
     elements = sorted(
         p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1
     )
-    return FiniteGroup(f"alt:{n}", elements, _compose, cycle_notation, **kw)
+    return FiniteGroup(f"alt:{n}", elements, _compose, cycle_notation)
 
 
-def psl2_group(q: int, **kw) -> FiniteGroup:
+def _psl2_order(q: int) -> int:
+    if prime_power(q) is None:
+        raise GroupSpecError(f"psl2 parameter {q} is not a prime power")
+    return q * (q * q - 1) // gcd(2, q - 1)
+
+
+def psl2_group(q: int) -> FiniteGroup:
     """PSL(2, q) acting on the projective line: q+1 points, field indices plus q for infinity.
 
     Generated as the permutation closure of x -> x+1, x -> u*x with u the square
     of a primitive element (the square keeps the maps inside PSL for odd q;
     for even q the square is itself primitive), and x -> -1/x.
     """
-    pk = prime_power(q)
-    if pk is None:
-        raise GroupSpecError(f"psl2 parameter {q} is not a prime power")
-    p, k = pk
+    expected = _psl2_order(q)
+    p, k = prime_power(q)
     field = GF(p, k)
     infinity = q
     lam = field.primitive_element()
@@ -402,15 +440,14 @@ def psl2_group(q: int, **kw) -> FiniteGroup:
                     seen.add(t)
                     fresh.append(t)
         frontier = fresh
-    expected = q * (q * q - 1) // gcd(2, q - 1)
     if len(seen) != expected:
         raise RuntimeError(
             f"psl2:{q} closure has {len(seen)} elements, expected {expected}"
         )
-    return FiniteGroup(f"psl2:{q}", sorted(seen), _compose, cycle_notation, **kw)
+    return FiniteGroup(f"psl2:{q}", sorted(seen), _compose, cycle_notation)
 
 
-def direct_product(left: FiniteGroup, right: FiniteGroup, **kw) -> FiniteGroup:
+def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
     elements = list(itertools.product(range(left.n), range(right.n)))
 
     def mul(u, v):
@@ -419,67 +456,39 @@ def direct_product(left: FiniteGroup, right: FiniteGroup, **kw) -> FiniteGroup:
     def label(g):
         return f"({left.element_label(g[0])},{right.element_label(g[1])})"
 
-    return FiniteGroup(f"{left.label} x {right.label}", elements, mul, label, **kw)
+    return FiniteGroup(f"{left.label} x {right.label}", elements, mul, label)
 
 
 # -- spec grammar --
 
 _ATOM_RE = re.compile(r"([a-z0-9]+):(\d+)(?::(\d+))?\Z")
 
-_FAMILY_ORDERS = {
-    "cyclic": lambda a, b: a,
-    "dihedral": lambda a, b: a,
-    "quaternion": lambda a, b: a,
-    "elemabelian": lambda a, b: a ** b,
-    "sym": lambda a, b: _factorial(a),
-    "alt": lambda a, b: max(1, _factorial(a) // 2),
-    "psl2": lambda a, b: a * (a * a - 1) // gcd(2, a - 1),
+# family -> (order function, constructor); both take the atom's parameters
+_FAMILIES = {
+    "cyclic": (_cyclic_order, cyclic_group),
+    "dihedral": (_dihedral_order, dihedral_group),
+    "quaternion": (_quaternion_order, quaternion_group),
+    "elemabelian": (_elementary_abelian_order, elementary_abelian_group),
+    "sym": (_symmetric_order, symmetric_group),
+    "alt": (_alternating_order, alternating_group),
+    "psl2": (_psl2_order, psl2_group),
 }
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def _parse_atom(token: str) -> tuple[str, int, int | None]:
+def _parse_atom(token: str) -> tuple[str, tuple[int, ...]]:
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"cannot parse group spec atom {token!r}")
     family, first, second = m.group(1), int(m.group(2)), m.group(3)
     second = int(second) if second is not None else None
-    if family not in _FAMILY_ORDERS:
+    if family not in _FAMILIES:
         raise GroupSpecError(f"unknown group family {family!r} in {token!r}")
     if family == "elemabelian":
         if second is None:
             raise GroupSpecError(f"elemabelian needs two parameters in {token!r}")
     elif second is not None:
         raise GroupSpecError(f"family {family!r} takes one parameter in {token!r}")
-    return family, first, second
-
-
-def _atom_order(token: str) -> int:
-    family, first, second = _parse_atom(token)
-    # validate parameters by dry-running the family-specific checks
-    if family == "cyclic" and first < 1:
-        raise GroupSpecError(f"cyclic order must be positive in {token!r}")
-    if family == "dihedral" and (first < 2 or first % 2):
-        raise GroupSpecError(f"dihedral order must be even and >= 2 in {token!r}")
-    if family == "quaternion" and (first % 4 or first < 8):
-        raise GroupSpecError(f"quaternion order must be 4n with n >= 2 in {token!r}")
-    if family == "elemabelian":
-        pk = prime_power(first)
-        if pk is None or pk[1] != 1:
-            raise GroupSpecError(f"elemabelian base must be prime in {token!r}")
-        if second < 1:
-            raise GroupSpecError(f"elemabelian rank must be positive in {token!r}")
-    if family in ("sym", "alt") and first < 1:
-        raise GroupSpecError(f"{family} degree must be positive in {token!r}")
-    if family == "psl2" and prime_power(first) is None:
-        raise GroupSpecError(f"psl2 parameter {first} is not a prime power")
-    return _FAMILY_ORDERS[family](first, second)
+    return family, (first,) if second is None else (first, second)
 
 
 def spec_order(spec: str) -> int:
@@ -489,37 +498,23 @@ def spec_order(spec: str) -> int:
         raise GroupSpecError(f"cannot parse group spec {spec!r}")
     order = 1
     for atom in atoms:
-        order *= _atom_order(atom)
+        family, params = _parse_atom(atom)
+        order *= _FAMILIES[family][0](*params)
     return order
 
 
-def _build_atom(token: str, table_threshold: int) -> FiniteGroup:
-    family, first, second = _parse_atom(token)
-    kw = {"table_threshold": table_threshold}
-    if family == "cyclic":
-        return cyclic_group(first, **kw)
-    if family == "dihedral":
-        return dihedral_group(first, **kw)
-    if family == "quaternion":
-        return quaternion_group(first, **kw)
-    if family == "elemabelian":
-        return elementary_abelian_group(first, second, **kw)
-    if family == "sym":
-        return symmetric_group(first, **kw)
-    if family == "alt":
-        return alternating_group(first, **kw)
-    return psl2_group(first, **kw)
+def _build_atom(token: str) -> FiniteGroup:
+    family, params = _parse_atom(token)
+    return _FAMILIES[family][1](*params)
 
 
-def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP,
-                table_threshold: int = TABLE_THRESHOLD) -> FiniteGroup:
+def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a spec like ``quaternion:8`` or ``cyclic:2 x cyclic:4``."""
     order = spec_order(spec)
     if order > order_cap:
         raise OrderCapError(f"group {spec!r} has order {order}, above the cap {order_cap}")
     atoms = [a.strip() for a in spec.split(" x ")]
-    group = _build_atom(atoms[0], table_threshold)
+    group = _build_atom(atoms[0])
     for atom in atoms[1:]:
-        group = direct_product(group, _build_atom(atom, table_threshold),
-                               table_threshold=table_threshold)
+        group = direct_product(group, _build_atom(atom))
     return group

@@ -14,7 +14,7 @@ from .groups import cyclic_group
 DC_VERTEX_LIMIT = 12
 CROSS_CHECK_MAX_DIM = 64
 
-ENGINES = ("auto", "matrix_tree", "crt", "decomposition", "deletion_contraction")
+ENGINES = ("auto", "matrix_tree", "deletion_contraction")
 
 
 def _require_connected(graph: Graph) -> None:
@@ -22,28 +22,24 @@ def _require_connected(graph: Graph) -> None:
         raise ValueError("spanning-tree count requires a connected graph")
 
 
-def kappa_matrix_tree(graph: Graph, det: str = "auto",
+def kappa_matrix_tree(graph: Graph,
                       factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count as det(J + Q) / n^2 on the whole n x n matrix.
-
-    ``det`` picks the determinant backend: "bareiss", "crt", or "auto"
-    (Bareiss up to dimension BAREISS_MAX_DIM, CRT above).
-    """
+    """Spanning-tree count as det(J + Q) / n^2 on the whole n x n matrix."""
     _require_connected(graph)
-    value = det_exact(ones_plus_laplacian(graph), det)
+    value = det_exact(ones_plus_laplacian(graph))
     count, rem = divmod(value, graph.n * graph.n)
     if rem:
         raise ExactnessError(f"det(J+Q) on {graph.n} vertices is not divisible by {graph.n}^2")
     return FactoredInt.from_int(count, factor_bound)
 
 
-def kappa_decomposed(graph: Graph, det: str = "auto",
+def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count as the product over biconnected blocks.
 
     Complete blocks contribute m^(m-2) directly; every other block contributes
     det(J + Q) / m^2 of the block, through its closed-twin quotient
-    (``twin_quotient_det``, with ``det`` as the quotient's backend).
+    (``twin_quotient_det``).
     """
     _require_connected(graph)
     rows = graph.rows
@@ -56,7 +52,7 @@ def kappa_decomposed(graph: Graph, det: str = "auto",
         if all(rows[v] & mask == mask ^ 1 << v for v in block):
             result = result * FactoredInt.from_int(m, factor_bound) ** (m - 2)
         else:
-            count = twin_quotient_det(rows, block, det) // (m * m)
+            count = twin_quotient_det(rows, block) // (m * m)
             result = result * FactoredInt.from_int(count, factor_bound)
     return result
 
@@ -181,7 +177,7 @@ def kappa_deletion_contraction(graph: Graph, vertex_limit: int = DC_VERTEX_LIMIT
 
 @dataclass(frozen=True)
 class KappaReport:
-    """A spanning-tree count with engine provenance."""
+    """A spanning-tree count with the engine that was asked for."""
 
     kappa: FactoredInt
     engine: str
@@ -191,34 +187,26 @@ class KappaReport:
 
 def compute_kappa(graph: Graph, engine: str = "auto",
                   factor_bound: int = DEFAULT_FACTOR_BOUND) -> KappaReport:
-    """Run the requested engine; "auto" decomposes and cross-checks small graphs."""
+    """Run one of ENGINES. "auto" multiplies the block counts and, on graphs of
+    at most CROSS_CHECK_MAX_DIM vertices, cross-checks them against matrix_tree."""
     start = time.perf_counter()
     cross_checked = False
     if engine == "auto":
-        value = kappa_decomposed(graph, "auto", factor_bound)
-        name = "decomposition"
+        value = kappa_decomposed(graph, factor_bound)
         if graph.n <= CROSS_CHECK_MAX_DIM:
-            other = kappa_matrix_tree(graph, "bareiss", factor_bound)
+            other = kappa_matrix_tree(graph, factor_bound)
             if other.value != value.value:
                 raise ExactnessError(
                     f"engine disagreement on the same graph: decomposition {value.value}, "
                     f"matrix_tree {other.value}")
             cross_checked = True
     elif engine == "matrix_tree":
-        value = kappa_matrix_tree(graph, "bareiss", factor_bound)
-        name = "matrix_tree"
-    elif engine == "crt":
-        value = kappa_matrix_tree(graph, "crt", factor_bound)
-        name = "crt"
-    elif engine == "decomposition":
-        value = kappa_decomposed(graph, "auto", factor_bound)
-        name = "decomposition"
+        value = kappa_matrix_tree(graph, factor_bound)
     elif engine == "deletion_contraction":
         value = kappa_deletion_contraction(graph, factor_bound=factor_bound)
-        name = "deletion_contraction"
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    return KappaReport(value, name, cross_checked, time.perf_counter() - start)
+    return KappaReport(value, engine, cross_checked, time.perf_counter() - start)
 
 
 def kappa_of_group(group, engine: str = "auto",
@@ -265,4 +253,4 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
 def _cyclic_kappa(m: int, factor_bound: int) -> FactoredInt:
     if m == 1:
         return FactoredInt.one()
-    return kappa_matrix_tree(build_power_graph(cyclic_group(m)), "auto", factor_bound)
+    return kappa_matrix_tree(build_power_graph(cyclic_group(m)), factor_bound)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from powertree import ENGINES
 from powertree.checks import VerificationResult
 from powertree.cli import main
 
@@ -19,10 +20,16 @@ def test_kappa_of_trivial_group(capsys):
     assert capsys.readouterr().out == "kappa = 1\n"
 
 
-@pytest.mark.parametrize("engine", ["auto", "bareiss", "crt", "decompose", "dc"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_kappa_engines_agree_through_the_cli(capsys, engine):
     assert main(["kappa", "cyclic:6", "--engine", engine]) == 0
     assert capsys.readouterr().out == "kappa = 2^2*3^3*5\n"
+
+
+def test_engine_choices_are_the_library_engines(capsys):
+    with pytest.raises(SystemExit):
+        main(["kappa", "--help"])
+    assert "--engine {" + ",".join(ENGINES) + "}" in capsys.readouterr().out
 
 
 def test_kappa_output_is_deterministic(capsys):
@@ -37,7 +44,7 @@ def test_kappa_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["group"] == "quaternion:8"
     assert payload["kappa"] == "2^11"
-    assert payload["engine"] == "decomposition"
+    assert payload["engine"] == "auto"
     assert payload["cross_checked"] is True
 
 
@@ -167,13 +174,14 @@ def test_order_cap_enforced(capsys):
 
 
 def test_engine_preconditions_fail_cleanly(capsys):
-    assert main(["kappa", "cyclic:20", "--engine", "dc"]) == 2
+    assert main(["kappa", "cyclic:20", "--engine", "deletion_contraction"]) == 2
     assert "12 vertices" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
     [], ["kappa"], ["recognize"], ["kappa", "cyclic:6", "--engine", "bogus"],
     ["verify", "--claim", "bogus"], ["bogus-command"],
+    ["kappa", "cyclic:6", "--engine", "crt"], ["kappa", "cyclic:6", "--engine", "dc"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as info:

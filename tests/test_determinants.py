@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from powertree import (Graph, build_group, build_power_graph, det_bareiss,
                        det_crt, ones_plus_laplacian)
-from powertree.determinant import hadamard_bound_squared, twin_quotient_det
+from powertree import determinant
+from powertree.determinant import (BAREISS_MAX_DIM, det_exact, hadamard_bound_squared,
+                                   twin_quotient_det)
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -78,6 +80,17 @@ def test_engines_agree_on_large_entries():
         n = rng.randrange(2, 13)
         matrix = _random_matrix(rng, n, 10 ** 6)
         assert det_bareiss(matrix) == det_crt(matrix)
+
+
+@pytest.mark.parametrize("n,kernel", [(BAREISS_MAX_DIM, "bareiss"),
+                                      (BAREISS_MAX_DIM + 1, "crt")])
+def test_det_exact_chooses_the_kernel_by_dimension(monkeypatch, n, kernel):
+    calls = []
+    monkeypatch.setattr(determinant, "det_bareiss", lambda m: calls.append("bareiss") or 1)
+    monkeypatch.setattr(determinant, "det_crt", lambda m: calls.append("crt") or 1)
+    assert BAREISS_MAX_DIM == 64
+    det_exact([[int(i == j) for j in range(n)] for i in range(n)])
+    assert calls == [kernel]
 
 
 def test_non_square_rejected():
@@ -153,8 +166,8 @@ def test_twin_quotient_matches_full_determinants(graph):
     matrix = ones_plus_laplacian(graph)
     expected = int(sympy.Matrix(matrix).det())
     assert det_bareiss(matrix) == expected
+    assert det_crt(matrix) == expected
     assert twin_quotient_det(graph.rows, range(graph.n)) == expected
-    assert twin_quotient_det(graph.rows, range(graph.n), "crt") == expected
 
 
 @settings(max_examples=60, deadline=None)

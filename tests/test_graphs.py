@@ -2,6 +2,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd
 
@@ -73,6 +74,20 @@ def test_blocks_and_articulation_points_match_networkx():
         theirs_blocks = sorted(sorted(b) for b in nx.biconnected_components(h))
         assert ours_blocks == theirs_blocks
         assert g.articulation_points() == set(nx.articulation_points(h))
+
+
+def test_block_search_memory_stays_linear_on_a_complete_power_graph():
+    # cyclic:1849 is complete with about 1.7 million edges; a stack of one
+    # tuple per edge peaked near 150 MiB
+    graph = build_power_graph(build_group("cyclic:1849"))
+    tracemalloc.start()
+    try:
+        blocks = graph.biconnected_blocks()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == [list(range(1849))]
+    assert peak < 16 * 2 ** 20
 
 
 def test_quaternion_power_graph_shape():

@@ -6,10 +6,12 @@ from math import gcd
 import numpy as np
 import pytest
 
-from powertree import (GroupSpecError, OrderCapError, build_group,
-                       build_power_graph, cyclic_group, dihedral_group,
-                       direct_product, quaternion_group, spec_order,
-                       symmetric_group)
+from powertree import (GroupSpecError, OrderCapError, alternating_group,
+                       build_group, build_power_graph, cyclic_group,
+                       dihedral_group, direct_product,
+                       elementary_abelian_group, psl2_group,
+                       quaternion_group, spec_order, symmetric_group)
+from powertree import groups
 from powertree.arith import euler_phi
 
 TABLE_GROUPS = [
@@ -64,9 +66,11 @@ def test_group_axioms_sampled(spec):
         assert group.mul(a, group.inverse(a)) == group.identity
 
 
-def test_table_and_composition_backends_agree():
+def test_table_and_composition_backends_agree(monkeypatch):
     dense = build_group("dihedral:12")
-    lazy = build_group("dihedral:12", table_threshold=0)
+    monkeypatch.setattr(groups, "TABLE_THRESHOLD", 0)
+    lazy = build_group("dihedral:12")
+    assert dense._table is not None and lazy._table is None
     assert _table(dense).tolist() == _table(lazy).tolist()
 
 
@@ -75,6 +79,16 @@ def test_cyclic_orders():
     for g in range(12):
         assert group.order_of(g) == 12 // gcd(12, g)
     assert group.cyclic_subgroup(2) == {0, 2, 4, 6, 8, 10}
+
+
+@pytest.mark.parametrize("spec", ["cyclic:12", "quaternion:16", "alt:5"])
+def test_generators_of_a_cyclic_subgroup_share_its_profile(spec):
+    group = build_group(spec)
+    for a in range(group.n):
+        order = group.order_of(a)
+        for k in range(1, order):
+            same = group.cyclic_subgroup(group.power(a, k)) is group.cyclic_subgroup(a)
+            assert same == (gcd(k, order) == 1)
 
 
 def _order_histogram(group) -> dict[int, int]:
@@ -206,14 +220,31 @@ def test_spec_order_without_building():
     assert spec_order("elemabelian:2:6") == 64
 
 
+# spec -> the family constructor call with the same bad parameters
+BAD_PARAMETERS = {
+    "dihedral:7": (dihedral_group, 7),
+    "quaternion:6": (quaternion_group, 6),
+    "quaternion:4": (quaternion_group, 4),
+    "elemabelian:4:2": (elementary_abelian_group, 4, 2),
+    "psl2:6": (psl2_group, 6),
+    "cyclic:0": (cyclic_group, 0),
+    "sym:0": (symmetric_group, 0),
+    "alt:0": (alternating_group, 0),
+}
+
+
 @pytest.mark.parametrize("spec", [
     "frobnicate:7", "cyclic:abc", "cyclic", "dihedral:7", "quaternion:6",
     "quaternion:4", "elemabelian:4:2", "elemabelian:3", "cyclic:3:4",
-    "psl2:6", "cyclic:0", "", "cyclic:2 x  x cyclic:3", "sym:0",
+    "psl2:6", "cyclic:0", "", "cyclic:2 x  x cyclic:3", "sym:0", "alt:0",
 ])
 def test_grammar_rejects_bad_specs(spec):
     with pytest.raises(GroupSpecError):
         build_group(spec)
+    if spec in BAD_PARAMETERS:
+        constructor, *params = BAD_PARAMETERS[spec]
+        with pytest.raises(GroupSpecError):
+            constructor(*params)
 
 
 def test_order_cap():

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertree
-from powertree import (FactoredInt, Graph, GroupBundle, build_group,
+from powertree import (ENGINES, FactoredInt, Graph, GroupBundle, build_group,
                        build_power_graph, closed_form_psl2,
                        closed_form_quaternion, compute_kappa, det_bareiss,
-                       kappa_decomposed, kappa_deletion_contraction,
+                       det_crt, kappa_decomposed, kappa_deletion_contraction,
                        kappa_matrix_tree, kappa_of_group, ones_plus_laplacian)
 from powertree.determinant import twin_quotient_det
 
@@ -66,11 +66,14 @@ def test_factored_presentation():
 ])
 def test_engines_agree(spec):
     graph = _power_graph(spec)
-    bareiss = kappa_matrix_tree(graph, "bareiss")
-    assert kappa_matrix_tree(graph, "crt").value == bareiss.value
-    assert kappa_decomposed(graph).value == bareiss.value
+    matrix = ones_plus_laplacian(graph)
+    det = det_bareiss(matrix)
+    assert det_crt(matrix) == det
+    count = kappa_matrix_tree(graph).value
+    assert det == graph.n ** 2 * count
+    assert kappa_decomposed(graph).value == count
     if graph.n <= 12:
-        assert kappa_deletion_contraction(graph).value == bareiss.value
+        assert kappa_deletion_contraction(graph).value == count
 
 
 def test_complete_graphs_follow_cayley():
@@ -143,19 +146,18 @@ def test_deletion_contraction_size_limit():
 def test_engine_selection_and_reports():
     graph = _power_graph("cyclic:6")
     report = compute_kappa(graph)
-    assert report.kappa.value == 540
-    assert report.engine == "decomposition"
+    assert report.engine == "auto"
     assert report.cross_checked  # 6 vertices, so the matrix-tree check ran
     assert report.wall_time >= 0
-    assert compute_kappa(graph, "matrix_tree").engine == "matrix_tree"
-    assert compute_kappa(graph, "crt").kappa.value == 540
-    assert compute_kappa(graph, "deletion_contraction").kappa.value == 540
+    for engine in ENGINES:
+        report = compute_kappa(graph, engine)
+        assert report.kappa.value == 540
+        assert report.engine == engine
     big = _power_graph("sym:5")
     assert not compute_kappa(big).cross_checked
-    with pytest.raises(ValueError):
-        compute_kappa(graph, "bogus")
-    with pytest.raises(ValueError):
-        kappa_matrix_tree(graph, det="bogus")
+    for removed in ("bogus", "crt", "decomposition"):
+        with pytest.raises(ValueError):
+            compute_kappa(graph, removed)
 
 
 def test_kappa_of_group_wrapper():
@@ -242,7 +244,7 @@ def test_kappa_is_invariant_under_relabelling(graph, rng):
     perm = list(range(graph.n))
     rng.shuffle(perm)
     relabelled = _relabelled(graph, perm)
-    expected = kappa_matrix_tree(graph, "bareiss").value
+    expected = kappa_matrix_tree(graph).value
     assert kappa_decomposed(relabelled).value == expected
     assert compute_kappa(relabelled).kappa.value == expected
 
@@ -280,7 +282,7 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     print("cross-check", raises(lambda: treecount.compute_kappa(graph)))
     treecount.kappa_matrix_tree = real
     # a determinant that is not divisible by m^2
-    determinant.det_exact = lambda matrix, backend="auto": 1
+    determinant.det_exact = lambda matrix: 1
     print("quotient", raises(lambda: determinant.twin_quotient_det(path.rows, range(3))))
     treecount.det_exact = determinant.det_exact
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
