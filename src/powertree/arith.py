@@ -104,6 +104,17 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(half)
 
 
+def decimal_short(value: int) -> str:
+    """The value, or its first 12 and last 6 digits and its length when longer than 40."""
+    digits = decimal_digits(value)
+    if digits <= 40:
+        return str(value)
+    sign = "-" if value < 0 else ""
+    value = abs(value)
+    return (f"{sign}{value // 10 ** (digits - 12)}...{value % 10 ** 6:06d} "
+            f"({digits} digits)")
+
+
 def parse_decimal(text: str) -> int:
     """``int(text)`` for decimal literals of any length (the inverse of decimal_str)."""
     if len(text) <= _SAFE_DIGITS:

@@ -10,12 +10,11 @@ import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_digits, euler_phi,
+from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_short, euler_phi,
                     is_prime, iter_primes, prime_power)
 from .determinant import twin_quotient_det
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
-                     component_decomposition, full_degree_vertices,
-                     reduced_power_graph)
+                     component_decomposition, full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
 from .treecount import kappa_decomposed
 
@@ -64,7 +63,6 @@ class GroupBundle:
         self.order_cap = order_cap
         self.factor_bound = factor_bound
         self._graph = None
-        self._reduced = None
         self._decomposition = None
         self._det_jq = None
         self._kappa = None
@@ -86,15 +84,9 @@ class GroupBundle:
         return self._graph
 
     @property
-    def reduced(self) -> PowerGraph:
-        if self._reduced is None:
-            self._reduced = reduced_power_graph(self.graph)
-        return self._reduced
-
-    @property
     def decomposition(self) -> ComponentDecomposition:
         if self._decomposition is None:
-            self._decomposition = component_decomposition(self.group, self.reduced)
+            self._decomposition = component_decomposition(self.group, self.graph)
         return self._decomposition
 
     @property
@@ -115,17 +107,6 @@ def _as_bundle(source) -> GroupBundle:
     if isinstance(source, GroupBundle):
         return source
     return GroupBundle(source)
-
-
-def _fmt(value: int) -> str:
-    """The value, or its first 12 and last 6 digits and its length when longer than 40."""
-    digits = decimal_digits(value)
-    if digits <= 40:
-        return str(value)
-    sign = "-" if value < 0 else ""
-    value = abs(value)
-    return (f"{sign}{value // 10 ** (digits - 12)}...{value % 10 ** 6:06d} "
-            f"({digits} digits)")
 
 
 def verify_component_count(source) -> VerificationResult:
@@ -171,7 +152,7 @@ def verify_full_degree_divisor(source) -> VerificationResult:
     holds = det % n ** k == 0
     return VerificationResult(
         "full-degree-det-divisor", bundle.label, holds,
-        f"{n}^{k} {'divides' if holds else 'does not divide'} det(J+Q) = {_fmt(det)}",
+        f"{n}^{k} {'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(det)}",
     )
 
 
@@ -186,8 +167,8 @@ def verify_maximal_order_divisor(source, m: int) -> VerificationResult:
     holds = bundle.det_jq % divisor == 0
     return VerificationResult(
         "maximal-order-det-divisor", bundle.label, holds,
-        f"{n}*{m}^{phi} = {_fmt(divisor)} "
-        f"{'divides' if holds else 'does not divide'} det(J+Q) = {_fmt(bundle.det_jq)}",
+        f"{n}*{m}^{phi} = {decimal_short(divisor)} "
+        f"{'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(bundle.det_jq)}",
     )
 
 
@@ -204,8 +185,8 @@ def verify_element_degree_divisor(source, g: int) -> VerificationResult:
     holds = bundle.det_jq % divisor == 0
     return VerificationResult(
         "element-degree-det-divisor", bundle.label, holds,
-        f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = {_fmt(divisor)} "
-        f"{'divides' if holds else 'does not divide'} det(J+Q) = {_fmt(bundle.det_jq)}",
+        f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = {decimal_short(divisor)} "
+        f"{'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(bundle.det_jq)}",
     )
 
 
@@ -270,7 +251,7 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
     holds = kappa.value > product
     return VerificationResult(
         "trivial-intersection-product-bound", bundle.label, holds,
-        f"kappa = {kappa} {'>' if holds else '<='} {_fmt(product)} "
+        f"kappa = {kappa} {'>' if holds else '<='} {decimal_short(product)} "
         f"(product over subgroups of orders {orders})",
     )
 
@@ -362,13 +343,13 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
     if failures:
         g, k, phi, divisor = failures[0]
         witness = (f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = "
-                   f"{_fmt(divisor)} does not divide det(J+Q) = {_fmt(det)}")
+                   f"{decimal_short(divisor)} does not divide det(J+Q) = {decimal_short(det)}")
     else:
         divisor, g, k, phi = best
         count = len(seen)
         plural = "s" if count != 1 else ""
-        witness = (f"{n}*{k + 1}^{phi} = {_fmt(divisor)} divides det(J+Q) = "
-                   f"{_fmt(det)} (largest divisor over {count} maximal cyclic "
+        witness = (f"{n}*{k + 1}^{phi} = {decimal_short(divisor)} divides det(J+Q) = "
+                   f"{decimal_short(det)} (largest divisor over {count} maximal cyclic "
                    f"subgroup{plural})")
     return [VerificationResult(
         "element-degree-det-divisor", bundle.label, not failures, witness,

@@ -8,8 +8,7 @@ import time
 
 from .arith import DEFAULT_FACTOR_BOUND, FactoredInt
 from .checks import CLAIM_IDS, load_manifest, run_verifications
-from .graphs import (build_power_graph, component_decomposition,
-                     reduced_power_graph, to_dot, to_json)
+from .graphs import build_power_graph, component_decomposition, to_dot, to_json
 from .groups import DEFAULT_ORDER_CAP, build_group
 from .recognition import recognize
 from .treecount import ENGINES, compute_kappa
@@ -87,8 +86,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_components(args) -> int:
     group = build_group(args.group, args.order_cap)
-    reduced = reduced_power_graph(build_power_graph(group))
-    decomposition = component_decomposition(group, reduced)
+    decomposition = component_decomposition(group)
     if args.json:
         payload = {
             "group": group.label,

@@ -57,9 +57,14 @@ class Graph:
         full = (1 << self.n) - 1
         return all(self.rows[v] == full ^ (1 << v) for v in range(self.n))
 
-    def components(self) -> list[list[int]]:
-        """Connected components by breadth-first search over bitmasks."""
+    def components(self, without: int | None = None) -> list[list[int]]:
+        """Connected components by breadth-first search over bitmasks.
+
+        With `without` given, the components of the graph with that vertex deleted.
+        """
         unseen = (1 << self.n) - 1
+        if without is not None:
+            unseen ^= 1 << without
         out = []
         while unseen:
             start = unseen & -unseen
@@ -96,69 +101,6 @@ class Graph:
                 sub.rows[i] |= 1 << position[low.bit_length() - 1]
                 row ^= low
         return sub
-
-    def _block_search(self) -> tuple[list[list[int]], set[int]]:
-        """Iterative depth-first search for biconnected blocks and cut vertices.
-
-        Each vertex is pushed on a vertex stack when discovered. When child v of
-        u closes a block, the block is u plus the stack from v's position on.
-        """
-        n = self.n
-        disc = [0] * n
-        low = [0] * n
-        position = [0] * n  # index of each vertex on the vertex stack
-        blocks: list[list[int]] = []
-        cuts: set[int] = set()
-        vertex_stack: list[int] = []
-        timer = 1
-        for root in range(n):
-            if disc[root]:
-                continue
-            disc[root] = low[root] = timer
-            timer += 1
-            position[root] = len(vertex_stack)
-            vertex_stack.append(root)
-            stack = [(root, self.neighbors(root))]
-            root_children = 0
-            while stack:
-                v, it = stack[-1]
-                w = next(it, None)
-                if w is None:
-                    stack.pop()
-                    if not stack:
-                        break
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u]:
-                        block = vertex_stack[position[v]:]
-                        del vertex_stack[position[v]:]
-                        block.append(u)
-                        blocks.append(sorted(block))
-                        if u == root:
-                            root_children += 1
-                        else:
-                            cuts.add(u)
-                    continue
-                if disc[w] == 0:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    position[w] = len(vertex_stack)
-                    vertex_stack.append(w)
-                    stack.append((w, self.neighbors(w)))
-                elif disc[w] < low[v]:
-                    low[v] = disc[w]
-            vertex_stack.pop()  # the root
-            if root_children > 1:
-                cuts.add(root)
-        return blocks, cuts
-
-    def biconnected_blocks(self) -> list[list[int]]:
-        """Vertex sets of the biconnected blocks (each bridge is its own block)."""
-        return self._block_search()[0]
-
-    def articulation_points(self) -> set[int]:
-        return self._block_search()[1]
 
 
 def _bits(mask: int) -> list[int]:
@@ -237,22 +179,23 @@ class ComponentDecomposition:
         return [c.size for c in self.components]
 
 
-def component_decomposition(group, reduced: PowerGraph | None = None) -> ComponentDecomposition:
+def component_decomposition(group, graph: PowerGraph | None = None) -> ComponentDecomposition:
     """Components of the reduced power graph, flagged as cliques with witnesses.
 
-    For a clique component the witness is an element of maximal order (ties
-    broken by smallest index) whose cyclic subgroup, minus the identity, is
-    exactly the component.
+    `graph` is the power graph or the reduced one; its identity vertex, if
+    any, is left out. For a clique component the witness is an element of
+    maximal order (ties broken by smallest index) whose cyclic subgroup, minus
+    the identity, is exactly the component.
     """
-    if reduced is None:
-        reduced = reduced_power_graph(build_power_graph(group))
+    if graph is None:
+        graph = build_power_graph(group)
     out = []
-    for comp in reduced.components():
+    for comp in graph.components(without=graph.identity_vertex):
         mask = 0
         for v in comp:
             mask |= 1 << v
-        clique = all(reduced.rows[v] & mask == mask ^ (1 << v) for v in comp)
-        members = [reduced.element_of[v] for v in comp]
+        clique = all(graph.rows[v] & mask == mask ^ (1 << v) for v in comp)
+        members = [graph.element_of[v] for v in comp]
         witness = None
         if clique:
             best = max(

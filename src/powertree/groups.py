@@ -6,7 +6,7 @@ import re
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .arith import euler_phi, prime_factors, prime_power
+from .arith import decimal_short, euler_phi, prime_factors, prime_power
 from .fields import GF
 
 DEFAULT_ORDER_CAP = 2000
@@ -512,7 +512,8 @@ def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a spec like ``quaternion:8`` or ``cyclic:2 x cyclic:4``."""
     order = spec_order(spec)
     if order > order_cap:
-        raise OrderCapError(f"group {spec!r} has order {order}, above the cap {order_cap}")
+        raise OrderCapError(f"group {spec!r} has order {decimal_short(order)}, "
+                            f"above the cap {order_cap}")
     atoms = [a.strip() for a in spec.split(" x ")]
     group = _build_atom(atoms[0])
     for atom in atoms[1:]:

@@ -35,25 +35,24 @@ def kappa_matrix_tree(graph: Graph,
 
 def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count as the product over biconnected blocks.
+    """Spanning-tree count as the product over the blocks through a universal vertex.
 
-    Complete blocks contribute m^(m-2) directly; every other block contributes
-    det(J + Q) / m^2 of the block, through its closed-twin quotient
-    (``twin_quotient_det``).
+    A vertex u adjacent to every other vertex (the identity of a power graph)
+    lies in every block, and no other vertex is a cut vertex, so the blocks
+    are u plus each component of the graph without u. A graph with no such
+    vertex is one piece. Each piece contributes det(J + Q) / m^2 through its
+    closed-twin quotient (``twin_quotient_det``).
     """
     _require_connected(graph)
     rows = graph.rows
+    n = graph.n
+    u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
+    pieces = [list(range(n))] if u is None else [c + [u] for c in graph.components(without=u)]
     result = FactoredInt.one()
-    for block in graph.biconnected_blocks():
-        m = len(block)
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        if all(rows[v] & mask == mask ^ 1 << v for v in block):
-            result = result * FactoredInt.from_int(m, factor_bound) ** (m - 2)
-        else:
-            count = twin_quotient_det(rows, block) // (m * m)
-            result = result * FactoredInt.from_int(count, factor_bound)
+    for piece in pieces:
+        m = len(piece)
+        result = result * FactoredInt.from_int(twin_quotient_det(rows, piece) // (m * m),
+                                               factor_bound)
     return result
 
 

@@ -9,7 +9,7 @@ from powertree import (CLAIM_IDS, GroupBundle, build_group, build_power_graph,
                        verify_maximal_order_divisor,
                        verify_maximal_prime_divisor, verify_product_bound,
                        verify_simple_order_count)
-from powertree.checks import _fmt
+from powertree.arith import decimal_short
 
 
 def _subgroups_of_order(group, order, limit=None):
@@ -235,12 +235,12 @@ def test_det_jq_equals_n_squared_kappa(spec):
 
 
 def test_fmt_abbreviates_without_str():
-    assert _fmt(12345) == "12345"
-    assert _fmt(10 ** 39) == str(10 ** 39)
-    assert _fmt(10 ** 40 + 7) == "100000000000...000007 (41 digits)"
+    assert decimal_short(12345) == "12345"
+    assert decimal_short(10 ** 39) == str(10 ** 39)
+    assert decimal_short(10 ** 40 + 7) == "100000000000...000007 (41 digits)"
     huge = 123456789012345 * 10 ** 5000 + 4321  # past the int-to-str limit
-    assert _fmt(huge) == "123456789012...004321 (5015 digits)"
-    assert _fmt(-(10 ** 5000)) == "-100000000000...000000 (5001 digits)"
+    assert decimal_short(huge) == "123456789012...004321 (5015 digits)"
+    assert decimal_short(-(10 ** 5000)) == "-100000000000...000000 (5001 digits)"
 
 
 def test_full_degree_claim_on_a_det_past_the_str_limit():

@@ -11,7 +11,8 @@ import pytest
 
 from powertree import (Graph, build_group, build_power_graph,
                        component_decomposition, full_degree_vertices,
-                       reduced_power_graph, to_dot, to_json, to_json_dict)
+                       kappa_decomposed, reduced_power_graph, to_dot, to_json,
+                       to_json_dict)
 
 
 def _random_graph(rng, n, p):
@@ -59,34 +60,41 @@ def test_components_match_networkx():
     for _ in range(100):
         n = rng.randrange(1, 15)
         g = _random_graph(rng, n, rng.choice([0.1, 0.3, 0.6]))
+        h = _as_networkx(g)
         ours = sorted(sorted(c) for c in g.components())
-        theirs = sorted(sorted(c) for c in nx.connected_components(_as_networkx(g)))
+        theirs = sorted(sorted(c) for c in nx.connected_components(h))
+        assert ours == theirs
+        v = rng.randrange(n)
+        h.remove_node(v)
+        ours = sorted(sorted(c) for c in g.components(without=v))
+        theirs = sorted(sorted(c) for c in nx.connected_components(h))
         assert ours == theirs
 
 
-def test_blocks_and_articulation_points_match_networkx():
-    rng = random.Random(6)
-    for _ in range(100):
-        n = rng.randrange(2, 13)
-        g = _random_graph(rng, n, rng.choice([0.2, 0.35, 0.5]))
-        h = _as_networkx(g)
-        ours_blocks = sorted(sorted(b) for b in g.biconnected_blocks())
-        theirs_blocks = sorted(sorted(b) for b in nx.biconnected_components(h))
-        assert ours_blocks == theirs_blocks
-        assert g.articulation_points() == set(nx.articulation_points(h))
+@pytest.mark.parametrize("spec", [
+    "cyclic:360", "dihedral:32", "quaternion:32", "elemabelian:2:6", "elemabelian:3:3",
+    "sym:4", "alt:5", "psl2:8", "cyclic:2 x cyclic:16",
+])
+def test_blocks_are_the_identity_plus_the_reduced_components(spec):
+    # the identity sees every vertex, so no other vertex is a cut vertex
+    graph = build_power_graph(build_group(spec))
+    e = graph.identity_vertex
+    ours = sorted(sorted(c + [e]) for c in graph.components(without=e))
+    theirs = sorted(sorted(b) for b in nx.biconnected_components(_as_networkx(graph)))
+    assert ours == theirs
 
 
-def test_block_search_memory_stays_linear_on_a_complete_power_graph():
-    # cyclic:1849 is complete with about 1.7 million edges; a stack of one
-    # tuple per edge peaked near 150 MiB
+def test_kappa_decomposed_memory_stays_linear_on_a_complete_power_graph():
+    # cyclic:1849 is complete with about 1.7 million edges: memory that grows
+    # per edge, not per vertex, shows here
     graph = build_power_graph(build_group("cyclic:1849"))
     tracemalloc.start()
     try:
-        blocks = graph.biconnected_blocks()
+        kappa = kappa_decomposed(graph)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert blocks == [list(range(1849))]
+    assert kappa.factors == {43: 3694}
     assert peak < 16 * 2 ** 20
 
 

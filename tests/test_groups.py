@@ -253,6 +253,9 @@ def test_order_cap():
     with pytest.raises(OrderCapError):
         build_group("cyclic:6", order_cap=5)
     assert build_group("cyclic:6", order_cap=6).n == 6
+    # 2000! has 5736 digits, past Python's 4300-digit int-to-str limit
+    with pytest.raises(OrderCapError, match="above the cap 2000"):
+        build_group("sym:2000")
 
 
 def test_power_graph_smoke_on_products():

@@ -226,14 +226,23 @@ def _relabelled(graph: Graph, perm) -> Graph:
     return Graph.from_edges(graph.n, [(perm[a], perm[b]) for a, b in graph.edges()])
 
 
+def _with_universal_vertex(graph: Graph) -> Graph:
+    """The graph plus a vertex joined to every other one, as the identity of a power graph."""
+    n = graph.n
+    return Graph(n + 1, [row | 1 << n for row in graph.rows] + [(1 << n) - 1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(connected_twin_graphs())
 def test_block_counts_multiply_to_the_whole_graph_count(graph):
+    graph = _with_universal_vertex(graph)
+    u = graph.n - 1
     whole, rem = divmod(det_bareiss(ones_plus_laplacian(graph)), graph.n ** 2)
     assert rem == 0
     product = 1
-    for block in graph.biconnected_blocks():
-        product *= twin_quotient_det(graph.rows, block) // len(block) ** 2
+    for component in graph.components(without=u):
+        piece = component + [u]
+        product *= twin_quotient_det(graph.rows, piece) // len(piece) ** 2
     assert product == whole
     assert kappa_decomposed(graph).value == whole
 
@@ -257,6 +266,11 @@ def test_groups_at_the_order_cap_finish():
     assert dihedral.kappa == kappa_decomposed(_power_graph("cyclic:1000"))
     bundle = GroupBundle("cyclic:1980")
     assert bundle.det_jq == 1980 ** 2 * compute_kappa(bundle.graph).kappa.value
+    # the reduced power graphs below are disjoint cliques: each piece through
+    # the identity is a complete graph K_m with m^(m-2) spanning trees
+    assert compute_kappa(_power_graph("elemabelian:2:10")).kappa.value == 1
+    assert compute_kappa(_power_graph("elemabelian:43:2")).kappa.value == 43 ** (41 * 44)
+    assert compute_kappa(_power_graph("cyclic:1849")).kappa.value == 43 ** 3694
 
 
 _OPTIMISED_CHECKS = textwrap.dedent("""
