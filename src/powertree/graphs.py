@@ -33,13 +33,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbors(self, v: int):
-        row = self.rows[v]
-        while row:
-            low = row & -row
-            yield low.bit_length() - 1
-            row ^= low
-
     def edges(self) -> list[tuple[int, int]]:
         out = []
         for v in range(self.n):
@@ -131,15 +124,36 @@ class PowerGraph(Graph):
 
 
 def build_power_graph(group) -> PowerGraph:
-    """The (full, undirected) power graph of a finite group."""
-    n = group.n
-    rows = [0] * n
-    for g in range(n):
-        for member in group.cyclic_subgroup(g):
-            if member != g:
-                rows[g] |= 1 << member
-                rows[member] |= 1 << g
-    return PowerGraph(n, rows, group, range(n), group.identity)
+    """The (full, undirected) power graph of a finite group.
+
+    x ~ y iff <x> contains <y> or <y> contains <x>, so a vertex's neighbours
+    depend only on the cyclic subgroup H it generates: the other generators
+    of H and the generators of every other cyclic K with K <= H or H <= K.
+    The rows are built once per H, and all generators of H are closed twins
+    by construction.
+    """
+    subgroups = list(group.cyclic_subgroups().items())
+    which = [0] * group.n  # element -> position of the cyclic subgroup it generates
+    gens = []
+    for i, (_, generators) in enumerate(subgroups):
+        mask = 0
+        for g in generators:
+            which[g] = i
+            mask |= 1 << g
+        gens.append(mask)
+    # generators of the other cyclic subgroups comparable with H; leaving H
+    # itself out keeps these masks as small as the rows they become
+    around = [0] * len(subgroups)
+    for i, (big, _) in enumerate(subgroups):
+        for j in {which[h] for h in big.subgroup}:  # the cyclic subgroups of big
+            if j != i:
+                around[j] |= gens[i]
+                around[i] |= gens[j]
+    rows = [0] * group.n
+    for i, (_, generators) in enumerate(subgroups):
+        for g in generators:
+            rows[g] = around[i] | (gens[i] ^ (1 << g))
+    return PowerGraph(group.n, rows, group, range(group.n), group.identity)
 
 
 def reduced_power_graph(pg: PowerGraph) -> PowerGraph:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -125,19 +126,23 @@ class FiniteGroup:
     def cyclic_subgroup(self, a: int) -> frozenset[int]:
         return self.profile(a).subgroup
 
+    def cyclic_subgroups(self) -> dict[ElementProfile, list[int]]:
+        """Each distinct cyclic subgroup's profile -> its generators, ascending."""
+        out: dict[ElementProfile, list[int]] = {}
+        for g in range(self.n):
+            out.setdefault(self.profile(g), []).append(g)
+        return out
+
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            subgroups_by_order: dict[int, set[frozenset[int]]] = {}
-            for g in range(self.n):
-                prof = self.profile(g)
-                subgroups_by_order.setdefault(prof.order, set()).add(prof.subgroup)
-            orders = frozenset(subgroups_by_order)
+            per_order = Counter(prof.order for prof in self.cyclic_subgroups())
+            orders = frozenset(per_order)
             maximal = frozenset(
                 m for m in orders if not any(k != m and k % m == 0 for k in orders)
             )
-            counts = {m: len(subs) for m, subs in sorted(subgroups_by_order.items())}
             self._spectrum = Spectrum(
-                orders, maximal, frozenset(prime_factors(self.n)), counts
+                orders, maximal, frozenset(prime_factors(self.n)),
+                dict(sorted(per_order.items())),
             )
         return self._spectrum
 

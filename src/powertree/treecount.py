@@ -240,9 +240,9 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
     if q in (2, 3):
         raise ValueError(f"no closed form for q = {q}")
     k = gcd(2, q - 1)
-    numerator = (q * q - 1) * (p - 2)
-    assert numerator % (p - 1) == 0
-    exponent = numerator // (p - 1)
+    exponent, rem = divmod((q * q - 1) * (p - 2), p - 1)
+    if rem:  # q = p^m is 1 mod p - 1, so this cannot happen for a prime power q
+        raise ExactnessError(f"(q^2-1)(p-2) is not divisible by p-1 for q = {q}")
     p_part = FactoredInt(p ** exponent, {p: exponent} if exponent else {}, 1)
     minus = _cyclic_kappa((q - 1) // k, factor_bound) ** (q * (q + 1) // 2)
     plus = _cyclic_kappa((q + 1) // k, factor_bound) ** (q * (q - 1) // 2)

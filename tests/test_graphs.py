@@ -36,7 +36,7 @@ def test_graph_basics():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert g.degree(1) == 2
-    assert list(g.neighbors(1)) == [0, 2]
+    assert g.rows[1] == 0b101
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.edge_count() == 2
     assert not g.is_connected()
@@ -138,6 +138,42 @@ def test_power_graph_matches_power_relation():
                     group.power(y, k) == x for k in range(group.order_of(y))
                 ) or any(group.power(x, k) == y for k in range(group.order_of(x)))
                 assert graph.has_edge(x, y) == related
+
+
+DEFINITION_PANEL = ["cyclic:360", "dihedral:32", "quaternion:32", "elemabelian:3:3", "sym:5",
+                    "alt:5", "psl2:8", "cyclic:2 x cyclic:16"]
+
+
+@pytest.mark.parametrize("spec", DEFINITION_PANEL)
+def test_power_graph_matches_the_subgroup_definition(spec):
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    subgroups = [group.cyclic_subgroup(g) for g in range(group.n)]
+    for x, y in itertools.product(range(group.n), repeat=2):
+        related = x != y and (x in subgroups[y] or y in subgroups[x])
+        assert graph.has_edge(x, y) == related
+
+
+@pytest.mark.parametrize("spec", DEFINITION_PANEL)
+def test_generators_of_one_cyclic_subgroup_are_closed_twins(spec):
+    # twin_quotient_det groups vertices by closed neighbourhood and relies on this
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    closed = {}
+    for g in range(group.n):
+        closed.setdefault(group.cyclic_subgroup(g), set()).add(graph.rows[g] | 1 << g)
+    assert all(len(rows) == 1 for rows in closed.values())
+
+
+@pytest.mark.parametrize("spec", ["dihedral:2000", "cyclic:1980"])
+def test_power_graph_edge_count_at_the_order_cap(spec):
+    # each g is joined to the |<g>| - 1 other members of <g>; a pair of
+    # generators of one subgroup H is counted from both ends, phi(|H|) choose 2 times
+    group = build_group(spec)
+    subgroups = [group.cyclic_subgroup(g) for g in range(group.n)]
+    expected = sum(len(sub) - 1 for sub in subgroups)
+    expected -= sum(phi * (phi - 1) // 2 for phi in Counter(subgroups).values())
+    assert build_power_graph(group).edge_count() == expected
 
 
 def test_coprime_orders_are_never_adjacent():

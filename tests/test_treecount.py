@@ -1,4 +1,5 @@
 """Spanning-tree counting engines and closed forms."""
+import ast
 import itertools
 import random
 import subprocess
@@ -311,3 +312,14 @@ def test_exactness_checks_survive_python_optimisation():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["cross-check", "True", "quotient", "True",
                                    "matrix-tree", "True"]
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so every check in the library must raise
+    package = Path(powertree.__file__).resolve().parent
+    modules = sorted(package.glob("*.py"))
+    assert modules
+    found = [f"{path.name}:{node.lineno}" for path in modules
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
