@@ -25,11 +25,10 @@ from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
                      dihedral_group, direct_product,
                      elementary_abelian_group, psl2_group, quaternion_group,
                      spec_order, symmetric_group)
-from .determinant import (ExactnessError, det_bareiss, det_crt,
-                          ones_plus_laplacian)
+from .determinant import ExactnessError, det_bareiss, ones_plus_laplacian
 from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
                           SimpleGroupFact, recognize)
-from .treecount import (ENGINES, KappaReport, closed_form_psl2,
+from .treecount import (ENGINES, KappaReport, VertexLimitError, closed_form_psl2,
                         closed_form_quaternion, compute_kappa,
                         kappa_decomposed, kappa_deletion_contraction,
                         kappa_matrix_tree, kappa_of_group)
@@ -61,6 +60,7 @@ __all__ = [
     "SimpleGroupFact",
     "Spectrum",
     "VerificationResult",
+    "VertexLimitError",
     "alternating_group",
     "build_group",
     "build_power_graph",
@@ -70,7 +70,6 @@ __all__ = [
     "compute_kappa",
     "cyclic_group",
     "det_bareiss",
-    "det_crt",
     "dihedral_group",
     "direct_product",
     "elementary_abelian_group",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_short, euler_phi,
                     is_prime, iter_primes, prime_power)
-from .determinant import twin_quotient_det
+from .determinant import twin_class_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
@@ -91,9 +91,12 @@ class GroupBundle:
 
     @property
     def det_jq(self) -> int:
-        """det(J + Q) of the full power graph, through its closed-twin quotient."""
+        """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
+        rooted at a class of smallest closed degree: a different elimination
+        from the one ``kappa`` runs on each piece through the identity."""
         if self._det_jq is None:
-            self._det_jq = twin_quotient_det(self.graph.rows, range(self.graph.n))
+            n = self.graph.n
+            self._det_jq = n * n * twin_class_kappa(self.graph.rows, range(n))
         return self._det_jq
 
     @property

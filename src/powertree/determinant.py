@@ -1,12 +1,9 @@
-"""Exact integer determinants: fraction-free elimination, a CRT fallback and
-the closed-twin quotient of det(J + Q)."""
+"""Exact determinants: fraction-free elimination of dense integer matrices, and
+spanning-tree counts through the sparse Laplacian of the closed-twin classes."""
 from __future__ import annotations
 
-import numpy as np
-
-BAREISS_MAX_DIM = 64  # beyond this, the CRT determinant takes over
-_WORD_PRIME_CEILING = 1 << 31  # products of two residues must fit in int64
-_prime_pool: list[int] = []
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 class ExactnessError(ArithmeticError):
@@ -107,130 +104,74 @@ def det_bareiss(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _is_probable_prime(n: int) -> bool:
-    # deterministic below 3.2e9 with these witnesses
-    for p in (2, 3, 5, 7):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for base in (2, 3, 5, 7):
-        x = pow(base, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+def det_min_degree(diag, off) -> int:
+    """Exact determinant of a symmetric positive semidefinite integer matrix,
+    stored sparsely: `diag[i]` is entry (i, i) and `off[i]` maps j to entry
+    (i, j) = (j, i) for the nonzero entries off the diagonal. Both are consumed.
 
-
-def _moduli(count: int) -> list[int]:
-    """The `count` largest primes below the word bound (cached, descending)."""
-    candidate = _prime_pool[-1] - 2 if _prime_pool else _WORD_PRIME_CEILING - 1
-    while len(_prime_pool) < count:
-        if _is_probable_prime(candidate):
-            _prime_pool.append(candidate)
-        candidate -= 2
-    return _prime_pool[:count]
-
-
-def _det_mod(reduced: np.ndarray, p: int) -> int:
-    """Determinant of an int64 matrix already reduced mod p, by Gaussian elimination."""
-    a = reduced.copy()
-    n = a.shape[0]
-    det = 1
-    sign = 1
-    for k in range(n):
-        column = a[k:, k]
-        nonzero = np.nonzero(column)[0]
-        if nonzero.size == 0:
+    Pivots are taken on the diagonal in a greedy minimum-degree order (George &
+    Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981),
+    in exact `Fraction` arithmetic with no row swaps, updating each symmetric
+    pair of entries once. A zero pivot means a singular leading block, which
+    in a semidefinite matrix makes the whole matrix singular: the determinant
+    is 0. A determinant that comes out non-integral raises ExactnessError.
+    """
+    heap = [(len(row), i) for i, row in enumerate(off)]
+    heapify(heap)
+    done = [False] * len(diag)
+    det = Fraction(1)
+    while heap:
+        degree, k = heappop(heap)
+        if done[k] or degree != len(off[k]):
+            continue  # a stale entry: k was eliminated, or its degree changed
+        done[k] = True
+        pivot = diag[k]
+        if not pivot:
             return 0
-        r = k + int(nonzero[0])
-        if r != k:
-            a[[k, r]] = a[[r, k]]
-            sign = -sign
-        pivot = int(a[k, k])
-        det = det * pivot % p
-        inv = pow(pivot, -1, p)
-        factors = a[k + 1 :, k] * inv % p
-        a[k + 1 :, k:] = (a[k + 1 :, k:] - factors[:, None] * a[k, k:]) % p
-    return det * sign % p
+        det *= pivot
+        column = list(off[k].items())
+        for i, _ in column:
+            del off[i][k]
+        for x, (i, a_ik) in enumerate(column):
+            row_i = off[i]
+            factor = Fraction(a_ik) / pivot
+            diag[i] -= factor * a_ik
+            for j, a_jk in column[x + 1:]:
+                row_i[j] = off[j][i] = row_i.get(j, 0) - factor * a_jk
+        for i, _ in column:
+            heappush(heap, (len(off[i]), i))
+    if det.denominator != 1:
+        raise ExactnessError("the determinant of an integer matrix is not an integer")
+    return det.numerator
 
 
-def hadamard_bound_squared(matrix) -> int:
-    """Product over rows of the squared Euclidean norms (bounds det^2)."""
-    bound = 1
-    for row in matrix:
-        bound *= sum(x * x for x in row)
-    return bound
+def twin_class_kappa(rows, vertices, root=None) -> int:
+    """Spanning-tree count of the subgraph induced on `vertices`, from bitset adjacency rows.
 
+    Vertices with equal closed neighbourhoods (closed twins) form classes C_i,
+    each a clique whose members see the same vertices outside it; C_i has
+    size s_i and closed degree k_i (degree + 1). The Laplacian has eigenvalue
+    k_i on vectors that sum to zero inside C_i, and on vectors constant on
+    classes it acts as S^-1 L_w, with L_w the Laplacian of the class graph
+    weighted s_i s_j on each edge (Godsil & Royle, Algebraic Graph Theory,
+    ch. 9 and 13). The weighted matrix-tree theorem then gives
 
-def det_crt(matrix) -> int:
-    """Exact determinant from residues modulo distinct word-size primes.
+        kappa = prod_i k_i^(s_i - 1) * det(L') / s_0,
 
-    The number of moduli comes from the Hadamard bound at runtime (the prime
-    product exceeds twice the bound); the symmetric remainder range fixes the
-    sign on reconstruction.
+    where L' is S^-1 L_w without the row and column of the root class C_0:
+    L'_ii = k_i - s_i, L'_ij = -s_j for adjacent classes i and j, and 0
+    otherwise. `det_min_degree` eliminates the symmetric S L', which is as
+    sparse as the class graph, and det(L') = det(S L') / prod_{i != 0} s_i.
+    The root class is that of the vertex `root`, or else the first class of
+    smallest closed degree. In a power graph the generators of one cyclic
+    subgroup are closed twins. A disconnected subgraph has no spanning tree.
+
+    A det(L') that is not an integer, or a product not divisible by s_0,
+    raises ExactnessError.
     """
-    n = _check_square(matrix)
-    if n == 0:
-        return 1
-    bound_sq = hadamard_bound_squared(matrix)
-    if bound_sq == 0:
-        return 0
-    count = 1
-    product = _moduli(1)[0]
-    while product * product <= 4 * bound_sq:
-        count += 1
-        product *= _moduli(count)[count - 1]
-    primes = _moduli(count)
-    max_abs = max(abs(x) for row in matrix for x in row)
-    base = np.array(matrix, dtype=np.int64) if max_abs < (1 << 62) else None
-    residues = []
-    for p in primes:
-        if base is not None:
-            reduced = base % p
-        else:
-            reduced = np.array([[x % p for x in row] for row in matrix], dtype=np.int64)
-        residues.append(_det_mod(reduced, p))
-    # combine
-    total = 0
-    for p, r in zip(primes, residues):
-        partial = product // p
-        total += r * partial * pow(partial, -1, p)
-    total %= product
-    if total > product // 2:
-        total -= product
-    return total
-
-
-def det_exact(matrix) -> int:
-    """Exact determinant: Bareiss up to dimension BAREISS_MAX_DIM, CRT above."""
-    if len(matrix) <= BAREISS_MAX_DIM:
-        return det_bareiss(matrix)
-    return det_crt(matrix)
-
-
-def twin_quotient_det(rows, vertices) -> int:
-    """det(J + Q) of the subgraph induced on `vertices`, from bitset adjacency rows.
-
-    Vertices with equal closed neighbourhoods (closed twins) form classes C,
-    each a clique whose members see the same vertices outside it. On vectors
-    that sum to zero inside a class, J + Q acts as d_C + 1; on vectors
-    constant on classes it acts as the r x r quotient B, with B_ii = d_i + 1
-    and B_ij = |C_j| for non-adjacent classes, 0 for adjacent ones (the
-    equitable-partition argument, Godsil & Royle, Algebraic Graph Theory,
-    ch. 9). Hence det(J + Q) = prod_C (d_C + 1)^(|C| - 1) * det(B). In a power
-    graph the generators of one cyclic subgroup are closed twins.
-
-    det(J + Q) = m^2 * kappa for every graph on m vertices, so a result not
-    divisible by m^2 raises ExactnessError.
-    """
+    vertices = list(vertices)
+    if not vertices:
+        raise ValueError("spanning-tree count of a graph with no vertices")
     mask = 0
     for v in vertices:
         mask |= 1 << v
@@ -243,18 +184,43 @@ def twin_quotient_det(rows, vertices) -> int:
         else:
             entry[0] += 1
     product = 1
-    quotient = []
-    for i, (key, (size, _)) in enumerate(classes.items()):
-        closed_degree = key.bit_count()  # d + 1
-        product *= closed_degree ** (size - 1)
-        row = [0 if key >> rep & 1 else other for other, rep in classes.values()]
-        row[i] = closed_degree
-        quotient.append(row)
-    if len(quotient) == 1:  # one class: a complete graph, J + Q = m * I
-        value = product * quotient[0][0]
+    for key, (size, _) in classes.items():
+        product *= key.bit_count() ** (size - 1)
+    if root is None:
+        root_key = min(classes, key=int.bit_count)
     else:
-        value = product * det_exact(quotient)
-    m = mask.bit_count()
-    if m and value % (m * m):
-        raise ExactnessError(f"det(J+Q) on {m} vertices is not divisible by {m}^2")
-    return value
+        root_key = rows[root] & mask | 1 << root
+    root_size = classes.pop(root_key)[0]
+    det = _det_class_laplacian(classes) if classes else 1  # one class: a complete graph
+    count, rem = divmod(product * det, root_size)
+    if rem:
+        raise ExactnessError(f"prod k_i^(s_i - 1) * det(L') is not divisible by the root "
+                             f"class size {root_size}")
+    return count
+
+
+def _det_class_laplacian(classes) -> int:
+    """det(L') for the classes other than the root, given as closed
+    neighbourhood -> [size, representative]."""
+    index = {rep: i for i, (_, rep) in enumerate(classes.values())}
+    sizes = [size for size, _ in classes.values()]
+    reps = 0
+    for rep in index:
+        reps |= 1 << rep
+    diag, off = [], []
+    scale = 1  # prod_{i != 0} s_i
+    for key, (size, rep) in classes.items():
+        scale *= size
+        diag.append(size * (key.bit_count() - size))
+        row = {}
+        adjacent = key & reps ^ 1 << rep
+        while adjacent:
+            low = adjacent & -adjacent
+            j = index[low.bit_length() - 1]
+            row[j] = -size * sizes[j]
+            adjacent ^= low
+        off.append(row)
+    det, rem = divmod(det_min_degree(diag, off), scale)
+    if rem:
+        raise ExactnessError("det(L') of an integer matrix is not an integer")
+    return det

@@ -6,15 +6,23 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, prime_power
-from .determinant import (ExactnessError, det_exact, ones_plus_laplacian,
-                          twin_quotient_det)
+from .determinant import (ExactnessError, det_bareiss, ones_plus_laplacian,
+                          twin_class_kappa)
 from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 
 DC_VERTEX_LIMIT = 12
+# Two-step Bareiss on the full J + Q took 0.5 s at n = 168 (psl2:7), 3.9 s at
+# n = 200 (dihedral:200), 11.5 s at n = 256 (quaternion:256) and 53-67 s at
+# n = 360 (cyclic:360, dihedral:360), single runs on a 2-CPU VM.
+MATRIX_TREE_VERTEX_LIMIT = 256
 CROSS_CHECK_MAX_DIM = 64
 
 ENGINES = ("auto", "matrix_tree", "deletion_contraction")
+
+
+class VertexLimitError(ValueError):
+    """A graph has more vertices than an engine's vertex limit."""
 
 
 def _require_connected(graph: Graph) -> None:
@@ -24,9 +32,13 @@ def _require_connected(graph: Graph) -> None:
 
 def kappa_matrix_tree(graph: Graph,
                       factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count as det(J + Q) / n^2 on the whole n x n matrix."""
+    """Spanning-tree count as det(J + Q) / n^2 on the whole n x n matrix, the
+    reference engine, limited to MATRIX_TREE_VERTEX_LIMIT vertices."""
+    if graph.n > MATRIX_TREE_VERTEX_LIMIT:
+        raise VertexLimitError(f"matrix_tree is limited to {MATRIX_TREE_VERTEX_LIMIT} "
+                               f"vertices, got {graph.n}")
     _require_connected(graph)
-    value = det_exact(ones_plus_laplacian(graph))
+    value = det_bareiss(ones_plus_laplacian(graph))
     count, rem = divmod(value, graph.n * graph.n)
     if rem:
         raise ExactnessError(f"det(J+Q) on {graph.n} vertices is not divisible by {graph.n}^2")
@@ -40,8 +52,8 @@ def kappa_decomposed(graph: Graph,
     A vertex u adjacent to every other vertex (the identity of a power graph)
     lies in every block, and no other vertex is a cut vertex, so the blocks
     are u plus each component of the graph without u. A graph with no such
-    vertex is one piece. Each piece contributes det(J + Q) / m^2 through its
-    closed-twin quotient (``twin_quotient_det``).
+    vertex is one piece. Each piece is counted on its closed-twin class
+    Laplacian, rooted at the class of u (``twin_class_kappa``).
     """
     _require_connected(graph)
     rows = graph.rows
@@ -50,9 +62,7 @@ def kappa_decomposed(graph: Graph,
     pieces = [list(range(n))] if u is None else [c + [u] for c in graph.components(without=u)]
     result = FactoredInt.one()
     for piece in pieces:
-        m = len(piece)
-        result = result * FactoredInt.from_int(twin_quotient_det(rows, piece) // (m * m),
-                                               factor_bound)
+        result = result * FactoredInt.from_int(twin_class_kappa(rows, piece, u), factor_bound)
     return result
 
 
@@ -164,7 +174,7 @@ def kappa_deletion_contraction(graph: Graph, vertex_limit: int = DC_VERTEX_LIMIT
                                factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count by the deletion-contraction recurrence (small graphs only)."""
     if graph.n > vertex_limit:
-        raise ValueError(
+        raise VertexLimitError(
             f"deletion-contraction is limited to {vertex_limit} vertices, got {graph.n}"
         )
     _require_connected(graph)
@@ -230,7 +240,7 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
     """Tree count of the power graph of PSL(2, q), q = p^m a prime power.
 
     p^((q^2-1)(p-2)/(p-1)) times kappa of two cyclic groups raised to the
-    point-pair counts; the cyclic counts come from the matrix-tree engine.
+    point-pair counts; the cyclic counts come from ``kappa_decomposed``.
     The two smallest cases (q = 2, 3) fall outside the formula.
     """
     pk = prime_power(q)
@@ -252,4 +262,4 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
 def _cyclic_kappa(m: int, factor_bound: int) -> FactoredInt:
     if m == 1:
         return FactoredInt.one()
-    return kappa_matrix_tree(build_power_graph(cyclic_group(m)), factor_bound)
+    return kappa_decomposed(build_power_graph(cyclic_group(m)), factor_bound)

@@ -7,11 +7,12 @@ wall-clock budget where one is stated.
 import contextlib
 import random
 import time
+from fractions import Fraction
 
 from powertree import (ENGINES, SUCCESS_VERDICT, FactoredInt, Graph, build_group,
                        build_power_graph, closed_form_psl2,
                        closed_form_quaternion, component_decomposition,
-                       compute_kappa, det_bareiss, det_crt,
+                       compute_kappa, det_bareiss,
                        kappa_deletion_contraction, kappa_matrix_tree,
                        load_manifest, ones_plus_laplacian, recognize,
                        run_verifications, spec_order, verify_component_count)
@@ -175,6 +176,26 @@ def test_criterion_08_claim_suite_has_zero_failures():
         assert time.perf_counter() - start < 600.0
 
 
+def _fraction_det(matrix) -> int:
+    """Gaussian elimination over exact fractions, with row swaps."""
+    a = [[Fraction(x) for x in row] for row in matrix]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            det = -det
+        det *= a[k][k]
+        for r in range(k + 1, n):
+            factor = a[r][k] / a[k][k]
+            for c in range(k, n):
+                a[r][c] -= factor * a[k][c]
+    return int(det)
+
+
 def test_criterion_09_randomized_engine_agreement():
     with criterion(9):
         rng = random.Random(97)
@@ -197,7 +218,7 @@ def test_criterion_09_randomized_engine_agreement():
         for _ in range(200):
             n = rng.randrange(1, 21)
             matrix = [[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)]
-            assert det_bareiss(matrix) == det_crt(matrix)
+            assert det_bareiss(matrix) == _fraction_det(matrix)
 
 
 def test_criterion_10_recognition_trace():

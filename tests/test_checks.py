@@ -234,6 +234,21 @@ def test_det_jq_equals_n_squared_kappa(spec):
     assert bundle.det_jq == bundle.group.n ** 2 * bundle.kappa.value
 
 
+# grammar-accepted products near the order cap of 2000, and the star-shaped
+# elemabelian:2:10, whose 1024 closed-twin classes are all singletons
+NEAR_CAP_SPECS = ("sym:6 x cyclic:2", "psl2:11 x cyclic:3", "quaternion:32 x dihedral:60",
+                  "sym:4 x sym:4 x cyclic:3", "sym:5 x dihedral:16", "elemabelian:2:10")
+
+
+@pytest.mark.parametrize("spec", NEAR_CAP_SPECS)
+def test_specs_near_the_order_cap_finish(spec):
+    bundle = GroupBundle(spec)
+    assert bundle.det_jq == bundle.group.n ** 2 * bundle.kappa.value
+    rows = run_verifications([spec])
+    assert rows
+    assert [r for r in rows if not r.holds] == []
+
+
 def test_fmt_abbreviates_without_str():
     assert decimal_short(12345) == "12345"
     assert decimal_short(10 ** 39) == str(10 ** 39)

@@ -179,6 +179,8 @@ def test_order_cap_enforced(capsys):
 def test_engine_preconditions_fail_cleanly(capsys):
     assert main(["kappa", "cyclic:20", "--engine", "deletion_contraction"]) == 2
     assert "12 vertices" in capsys.readouterr().err
+    assert main(["kappa", "cyclic:257", "--engine", "matrix_tree"]) == 2
+    assert "limited to 256 vertices, got 257" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

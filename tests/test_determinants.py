@@ -1,6 +1,7 @@
 """Exact determinant engines against an independent oracle."""
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -8,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertree import (Graph, build_group, build_power_graph, det_bareiss,
-                       det_crt, ones_plus_laplacian)
-from powertree import determinant
-from powertree.determinant import (BAREISS_MAX_DIM, det_exact, hadamard_bound_squared,
-                                   twin_quotient_det)
+                       ones_plus_laplacian)
+from powertree.determinant import ExactnessError, det_min_degree, twin_class_kappa
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -38,7 +37,6 @@ def test_small_random_matrices_match_sympy():
         matrix = _random_matrix(rng, n, 9)
         expected = int(sympy.Matrix(matrix).det())
         assert det_bareiss(matrix) == expected
-        assert det_crt(matrix) == expected
 
 
 def test_singular_matrices():
@@ -48,10 +46,8 @@ def test_singular_matrices():
         matrix = _random_matrix(rng, n, 9)
         matrix[n - 1] = list(matrix[0])  # duplicate row
         assert det_bareiss(matrix) == 0
-        assert det_crt(matrix) == 0
     zeros = [[0] * 4 for _ in range(4)]
     assert det_bareiss(zeros) == 0
-    assert det_crt(zeros) == 0
 
 
 def test_permutation_matrices_have_unit_determinant():
@@ -64,14 +60,14 @@ def test_permutation_matrices_have_unit_determinant():
         expected = int(sympy.Matrix(matrix).det())
         assert expected in (-1, 1)
         assert det_bareiss(matrix) == expected
-        assert det_crt(matrix) == expected
 
 
 def test_trivial_sizes():
     assert det_bareiss([]) == 1
-    assert det_crt([]) == 1
     assert det_bareiss([[7]]) == 7
-    assert det_crt([[-3]]) == -3
+    assert det_bareiss([[-3]]) == -3
+    assert det_min_degree([], []) == 1
+    assert det_min_degree([5], [{}]) == 5
 
 
 def test_engines_agree_on_large_entries():
@@ -79,34 +75,68 @@ def test_engines_agree_on_large_entries():
     for _ in range(20):
         n = rng.randrange(2, 13)
         matrix = _random_matrix(rng, n, 10 ** 6)
-        assert det_bareiss(matrix) == det_crt(matrix)
-
-
-@pytest.mark.parametrize("n,kernel", [(BAREISS_MAX_DIM, "bareiss"),
-                                      (BAREISS_MAX_DIM + 1, "crt")])
-def test_det_exact_chooses_the_kernel_by_dimension(monkeypatch, n, kernel):
-    calls = []
-    monkeypatch.setattr(determinant, "det_bareiss", lambda m: calls.append("bareiss") or 1)
-    monkeypatch.setattr(determinant, "det_crt", lambda m: calls.append("crt") or 1)
-    assert BAREISS_MAX_DIM == 64
-    det_exact([[int(i == j) for j in range(n)] for i in range(n)])
-    assert calls == [kernel]
+        assert det_bareiss(matrix) == int(sympy.Matrix(matrix).det())
 
 
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         det_bareiss([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(ValueError):
-        det_crt([[1, 2, 3], [4, 5, 6]])
+        det_bareiss([[1, 2, 3], [4, 5, 6]])
 
 
 def test_hadamard_bound_holds():
+    # det^2 is at most the product of the rows' squared Euclidean norms
     rng = random.Random(37)
     for _ in range(50):
         n = rng.randrange(1, 7)
         matrix = _random_matrix(rng, n, 20)
         det = det_bareiss(matrix)
-        assert det * det <= hadamard_bound_squared(matrix)
+        bound = 1
+        for row in matrix:
+            bound *= sum(x * x for x in row)
+        assert det * det <= bound
+
+
+def _sparse(matrix):
+    """`det_min_degree`'s input: the diagonal, and the nonzero entries off it by row."""
+    n = len(matrix)
+    return ([matrix[i][i] for i in range(n)],
+            [{j: matrix[i][j] for j in range(n) if j != i and matrix[i][j]} for i in range(n)])
+
+
+def _gram(rng, n, rank):
+    """B^T B for a random integer B with `rank` rows, about two thirds of its entries
+    zero: symmetric positive semidefinite, sparse, and singular when rank < n."""
+    b = [[rng.choice((0, 0, rng.randint(-3, 3))) for _ in range(n)] for _ in range(rank)]
+    return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+
+
+def test_non_integral_determinant_raises():
+    with pytest.raises(ExactnessError):
+        det_min_degree([Fraction(1, 2)], [{}])
+
+
+def test_class_laplacian_of_small_graphs():
+    # whichever class is the root: the bowtie has classes {0, 1} and {3, 4}
+    # (size 2, closed degree 3) and {2}, so kappa = 3 * 3; the paw is a
+    # triangle with a pendant vertex
+    bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert [twin_class_kappa(bowtie.rows, range(5), root) for root in range(5)] == [9] * 5
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assert [twin_class_kappa(paw.rows, range(4), root) for root in range(4)] == [3] * 4
+
+
+def test_min_degree_elimination_matches_sympy():
+    rng = random.Random(43)
+    singular = 0
+    for _ in range(200):
+        n = rng.randrange(1, 9)
+        matrix = _gram(rng, n, rng.randrange(n // 2, n + 2))
+        expected = int(sympy.Matrix(matrix).det())
+        singular += expected == 0
+        assert det_min_degree(*_sparse(matrix)) == expected
+    assert singular  # the zero-pivot exit ran
 
 
 def test_ones_plus_laplacian_entries():
@@ -123,7 +153,6 @@ def test_ones_plus_laplacian_entries():
 
 def test_quaternion_matrix_determinant():
     assert det_bareiss(QUATERNION_MATRIX) == 2 ** 17
-    assert det_crt(QUATERNION_MATRIX) == 2 ** 17
     built = ones_plus_laplacian(build_power_graph(build_group("quaternion:8")))
     assert det_bareiss(built) == 2 ** 17
 
@@ -163,25 +192,36 @@ def twin_graphs(draw, max_classes=6, max_size=4):
 @settings(max_examples=60, deadline=None)
 @given(twin_graphs())
 def test_twin_quotient_matches_full_determinants(graph):
+    # det(J + Q) = n^2 * kappa, whichever class the class Laplacian is rooted at
     matrix = ones_plus_laplacian(graph)
     expected = int(sympy.Matrix(matrix).det())
     assert det_bareiss(matrix) == expected
-    assert det_crt(matrix) == expected
-    assert twin_quotient_det(graph.rows, range(graph.n)) == expected
+    n2 = graph.n * graph.n
+    assert n2 * twin_class_kappa(graph.rows, range(graph.n)) == expected
+    for root in range(graph.n):
+        assert n2 * twin_class_kappa(graph.rows, range(graph.n), root) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(twin_graphs(), st.data())
 def test_twin_quotient_on_induced_subgraphs(graph, data):
     vertices = data.draw(st.lists(st.sampled_from(range(graph.n)), unique=True))
+    if not vertices:
+        with pytest.raises(ValueError):
+            twin_class_kappa(graph.rows, vertices)
+        return
     expected = det_bareiss(ones_plus_laplacian(graph.subgraph(vertices)))
-    assert twin_quotient_det(graph.rows, vertices) == expected
+    root = data.draw(st.sampled_from(vertices))
+    assert len(vertices) ** 2 * twin_class_kappa(graph.rows, vertices, root) == expected
 
 
 def test_twin_quotient_of_power_graphs():
     for spec in ("cyclic:12", "quaternion:16", "sym:4", "alt:5", "cyclic:2 x cyclic:6"):
         graph = build_power_graph(build_group(spec))
         expected = det_bareiss(ones_plus_laplacian(graph))
-        assert twin_quotient_det(graph.rows, range(graph.n)) == expected
-    assert twin_quotient_det([], []) == 1
-    assert twin_quotient_det([0], [0]) == 1
+        n2 = graph.n * graph.n
+        assert n2 * twin_class_kappa(graph.rows, range(graph.n)) == expected
+        assert n2 * twin_class_kappa(graph.rows, range(graph.n), graph.identity_vertex) == expected
+    with pytest.raises(ValueError):
+        twin_class_kappa([], [])
+    assert twin_class_kappa([0], [0]) == 1

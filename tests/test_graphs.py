@@ -156,7 +156,7 @@ def test_power_graph_matches_the_subgroup_definition(spec):
 
 @pytest.mark.parametrize("spec", DEFINITION_PANEL)
 def test_generators_of_one_cyclic_subgroup_are_closed_twins(spec):
-    # twin_quotient_det groups vertices by closed neighbourhood and relies on this
+    # twin_class_kappa groups vertices by closed neighbourhood and relies on this
     group = build_group(spec)
     graph = build_power_graph(group)
     closed = {}

@@ -13,12 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertree
-from powertree import (ENGINES, FactoredInt, Graph, GroupBundle, build_group,
-                       build_power_graph, closed_form_psl2,
-                       closed_form_quaternion, compute_kappa, det_bareiss,
-                       det_crt, kappa_decomposed, kappa_deletion_contraction,
-                       kappa_matrix_tree, kappa_of_group, ones_plus_laplacian)
-from powertree.determinant import twin_quotient_det
+from powertree import (DEFAULT_FACTOR_BOUND, ENGINES, FactoredInt, Graph, GroupBundle,
+                       VertexLimitError, build_group, build_power_graph,
+                       closed_form_psl2, closed_form_quaternion, compute_kappa,
+                       det_bareiss, kappa_decomposed, kappa_deletion_contraction,
+                       kappa_matrix_tree, kappa_of_group, ones_plus_laplacian,
+                       treecount)
+from powertree.determinant import twin_class_kappa
 
 CYCLIC_COUNTS = {
     1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 540, 7: 7 ** 5, 9: 3 ** 14,
@@ -69,7 +70,7 @@ def test_engines_agree(spec):
     graph = _power_graph(spec)
     matrix = ones_plus_laplacian(graph)
     det = det_bareiss(matrix)
-    assert det_crt(matrix) == det
+    assert graph.n ** 2 * twin_class_kappa(graph.rows, range(graph.n)) == det
     count = kappa_matrix_tree(graph).value
     assert det == graph.n ** 2 * count
     assert kappa_decomposed(graph).value == count
@@ -144,6 +145,16 @@ def test_deletion_contraction_size_limit():
     assert kappa_deletion_contraction(path, vertex_limit=13).value == 1
 
 
+def test_matrix_tree_size_limit():
+    n = treecount.MATRIX_TREE_VERTEX_LIMIT + 1
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    with pytest.raises(VertexLimitError):
+        kappa_matrix_tree(path)
+    with pytest.raises(VertexLimitError):
+        compute_kappa(path, "matrix_tree")
+    assert compute_kappa(path).kappa.value == 1
+
+
 def test_engine_selection_and_reports():
     graph = _power_graph("cyclic:6")
     report = compute_kappa(graph)
@@ -196,6 +207,19 @@ def test_psl2_closed_form():
             closed_form_psl2(bad)
 
 
+def test_psl2_closed_form_counts_its_cyclic_factors_past_the_matrix_tree_limit(monkeypatch):
+    # q = 727 needs kappa of cyclic:363 and cyclic:364, both above the limit.
+    # The closed form itself has about 1.6e9 bits, too many to multiply out
+    # here, so its two cyclic factors are checked against det(J + Q) instead.
+    for m in (363, 364):
+        assert m > treecount.MATRIX_TREE_VERTEX_LIMIT
+        bundle = GroupBundle(f"cyclic:{m}")
+        assert bundle.det_jq == m * m * treecount._cyclic_kappa(m, DEFAULT_FACTOR_BOUND).value
+    monkeypatch.setattr(treecount, "MATRIX_TREE_VERTEX_LIMIT", 1)
+    assert closed_form_psl2(9) == FactoredInt.parse("2^180*3^40*5^108")
+    assert closed_form_psl2(13) == kappa_decomposed(_power_graph("psl2:13"))
+
+
 @st.composite
 def connected_twin_graphs(draw):
     """A connected graph of blown-up vertices: each base vertex becomes a clique
@@ -243,7 +267,7 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
     product = 1
     for component in graph.components(without=u):
         piece = component + [u]
-        product *= twin_quotient_det(graph.rows, piece) // len(piece) ** 2
+        product *= twin_class_kappa(graph.rows, piece, u)
     assert product == whole
     assert kappa_decomposed(graph).value == whole
 
@@ -296,10 +320,13 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     treecount.kappa_matrix_tree = lambda *args: FactoredInt.one()
     print("cross-check", raises(lambda: treecount.compute_kappa(graph)))
     treecount.kappa_matrix_tree = real
-    # a determinant that is not divisible by m^2
-    determinant.det_exact = lambda matrix: 1
-    print("quotient", raises(lambda: determinant.twin_quotient_det(path.rows, range(3))))
-    treecount.det_exact = determinant.det_exact
+    # an elimination whose product is not divisible by the root class size: the
+    # paw's root class {0, 1} has size 2 and closed degree 3, its others size 1
+    paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    determinant.det_min_degree = lambda diag, off: 1
+    print("class-laplacian", raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0)))
+    # a determinant that is not divisible by n^2
+    treecount.det_bareiss = lambda matrix: 1
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
 """)
 
@@ -310,8 +337,22 @@ def test_exactness_checks_survive_python_optimisation():
                           capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": str(source)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["cross-check", "True", "quotient", "True",
+    assert done.stdout.split() == ["cross-check", "True", "class-laplacian", "True",
                                    "matrix-tree", "True"]
+
+
+def test_counting_does_not_import_numpy():
+    # numpy is a test dependency only; the library must count without it
+    script = ("import sys\n"
+              "import powertree\n"
+              "powertree.compute_kappa(powertree.build_power_graph(powertree.build_group('alt:5')))\n"
+              "powertree.run_verifications(['cyclic:2 x cyclic:6'])\n"
+              "print('numpy' in sys.modules)\n")
+    source = Path(powertree.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": str(source)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 def test_library_has_no_assert_statements():
