@@ -17,8 +17,7 @@ from .checks import (CLAIM_IDS, GroupBundle, VerificationResult,
 from .fields import GF, FieldElement
 from .graphs import (Component, ComponentDecomposition, Graph, PowerGraph,
                      build_power_graph, component_decomposition,
-                     full_degree_vertices, reduced_power_graph, to_dot,
-                     to_json, to_json_dict)
+                     full_degree_vertices, to_dot, to_json, to_json_dict)
 from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
                      GroupSpecError, OrderCapError, Spectrum,
                      alternating_group, build_group, cyclic_group,
@@ -83,7 +82,6 @@ __all__ = [
     "psl2_group",
     "quaternion_group",
     "recognize",
-    "reduced_power_graph",
     "run_verifications",
     "spec_order",
     "symmetric_group",

@@ -46,10 +46,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
-    def is_complete(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(self.rows[v] == full ^ (1 << v) for v in range(self.n))
-
     def components(self, without: int | None = None) -> list[list[int]]:
         """Connected components by breadth-first search over bitmasks.
 
@@ -80,21 +76,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def subgraph(self, vertices) -> Graph:
-        vertices = list(vertices)
-        position = {v: i for i, v in enumerate(vertices)}
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        sub = Graph(len(vertices))
-        for i, v in enumerate(vertices):
-            row = self.rows[v] & mask
-            while row:
-                low = row & -row
-                sub.rows[i] |= 1 << position[low.bit_length() - 1]
-                row ^= low
-        return sub
-
 
 def _bits(mask: int) -> list[int]:
     out = []
@@ -108,19 +89,17 @@ def _bits(mask: int) -> list[int]:
 class PowerGraph(Graph):
     """Power graph of a finite group: x ~ y iff one generates a subgroup containing the other.
 
-    Vertices carry the underlying element indices (``element_of``), so reduced
-    graphs keep stable ids after the identity is deleted.
+    Vertex v is the group element with index v.
     """
 
-    def __init__(self, n, rows, group, element_of, identity_vertex):
+    def __init__(self, n, rows, group, identity_vertex):
         super().__init__(n, rows)
         self.group = group
-        self.element_of = list(element_of)
         self.identity_vertex = identity_vertex
 
     @property
     def labels(self) -> list[str]:
-        return [self.group.element_label(e) for e in self.element_of]
+        return [self.group.element_label(v) for v in range(self.n)]
 
 
 def build_power_graph(group) -> PowerGraph:
@@ -153,18 +132,7 @@ def build_power_graph(group) -> PowerGraph:
     for i, (_, generators) in enumerate(subgroups):
         for g in generators:
             rows[g] = around[i] | (gens[i] ^ (1 << g))
-    return PowerGraph(group.n, rows, group, range(group.n), group.identity)
-
-
-def reduced_power_graph(pg: PowerGraph) -> PowerGraph:
-    """The power graph with the identity vertex deleted."""
-    if pg.identity_vertex is None:
-        raise ValueError("graph has no identity vertex to delete")
-    keep = [v for v in range(pg.n) if v != pg.identity_vertex]
-    sub = pg.subgraph(keep)
-    return PowerGraph(
-        sub.n, sub.rows, pg.group, [pg.element_of[v] for v in keep], None
-    )
+    return PowerGraph(group.n, rows, group, group.identity)
 
 
 @dataclass(frozen=True)
@@ -194,12 +162,12 @@ class ComponentDecomposition:
 
 
 def component_decomposition(group, graph: PowerGraph | None = None) -> ComponentDecomposition:
-    """Components of the reduced power graph, flagged as cliques with witnesses.
+    """Components of the power graph minus the identity, flagged as cliques with witnesses.
 
-    `graph` is the power graph or the reduced one; its identity vertex, if
-    any, is left out. For a clique component the witness is an element of
-    maximal order (ties broken by smallest index) whose cyclic subgroup, minus
-    the identity, is exactly the component.
+    `graph` is the group's power graph, if already built. For a clique
+    component the witness is an element of maximal order (ties broken by
+    smallest index) whose cyclic subgroup, minus the identity, is exactly the
+    component.
     """
     if graph is None:
         graph = build_power_graph(group)
@@ -209,46 +177,39 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
         for v in comp:
             mask |= 1 << v
         clique = all(graph.rows[v] & mask == mask ^ (1 << v) for v in comp)
-        members = [graph.element_of[v] for v in comp]
         witness = None
         if clique:
-            best = max(
-                members, key=lambda g: (group.order_of(g), -g)
-            )
+            best = max(comp, key=lambda g: (group.order_of(g), -g))
             generated = group.cyclic_subgroup(best) - {group.identity}
-            if generated == set(members):
+            if generated == set(comp):
                 witness = best
-        out.append(Component(tuple(sorted(members)), clique, witness))
+        out.append(Component(tuple(comp), clique, witness))
     out.sort(key=lambda c: (-c.size, c.elements))
     return ComponentDecomposition(tuple(out))
 
 
 def full_degree_vertices(pg: PowerGraph) -> list[int]:
     """Element indices adjacent to every other vertex."""
-    return [pg.element_of[v] for v in range(pg.n) if pg.degree(v) == pg.n - 1]
+    return [v for v in range(pg.n) if pg.degree(v) == pg.n - 1]
 
 
 def to_dot(pg: PowerGraph) -> str:
     """GraphViz text; node ids are element indices."""
     lines = ["graph power {"]
     for v in range(pg.n):
-        lines.append(f'  {pg.element_of[v]} [label="{pg.labels[v]}"];')
+        lines.append(f'  {v} [label="{pg.labels[v]}"];')
     for a, b in pg.edges():
-        i, j = pg.element_of[a], pg.element_of[b]
-        if i > j:
-            i, j = j, i
-        lines.append(f"  {i} -- {j};")
+        lines.append(f"  {a} -- {b};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def to_json_dict(pg: PowerGraph) -> dict:
-    edges = sorted(tuple(sorted((pg.element_of[a], pg.element_of[b]))) for a, b in pg.edges())
     return {
         "n": pg.n,
         "identity": pg.identity_vertex,
         "labels": pg.labels,
-        "edges": [list(e) for e in edges],
+        "edges": [[a, b] for a, b in pg.edges()],
     }
 
 

@@ -7,11 +7,10 @@ from collections import Counter
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .arith import decimal_short, euler_phi, prime_factors, prime_power
+from .arith import euler_phi, prime_factors, prime_power
 from .fields import GF
 
 DEFAULT_ORDER_CAP = 2000
-TABLE_THRESHOLD = 512  # dense Cayley table at or below, composition lookups above
 
 
 class GroupSpecError(ValueError):
@@ -44,11 +43,13 @@ class Spectrum:
 class FiniteGroup:
     """A finite group whose elements are indices 0..n-1.
 
-    Small groups get a dense multiplication table; larger ones multiply the
-    underlying element objects (permutations, tuples) and look the result up.
+    A product multiplies the underlying element objects (permutations,
+    tuples) and looks the result up, so building a group of order n costs n
+    index entries and no products. The routines the claims use are sized by
+    the generating set: about n*|gens| products each.
     """
 
-    def __init__(self, label, elements, mul_elem, repr_elem=None):
+    def __init__(self, label, elements, mul_elem, identity: int, repr_elem=None):
         self.label = label
         self._elements = list(elements)
         self.n = len(self._elements)
@@ -57,16 +58,11 @@ class FiniteGroup:
         self._index = {g: i for i, g in enumerate(self._elements)}
         if len(self._index) != self.n:
             raise ValueError(f"duplicate elements in {label}")
+        if not 0 <= identity < self.n:
+            raise ValueError(f"identity index {identity} out of range for {label}")
         self._mul_elem = mul_elem
         self._repr_elem = repr_elem if repr_elem is not None else str
-        if self.n <= TABLE_THRESHOLD:
-            index = self._index
-            self._table = [
-                [index[mul_elem(a, b)] for b in self._elements] for a in self._elements
-            ]
-        else:
-            self._table = None
-        self.identity = self._find_identity()
+        self.identity = identity
         self._profiles: dict[int, ElementProfile] = {}
         self._spectrum: Spectrum | None = None
         self._generators: list[int] | None = None
@@ -75,8 +71,6 @@ class FiniteGroup:
     # -- core operations --
 
     def mul(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
         return self._index[self._mul_elem(self._elements[a], self._elements[b])]
 
     def power(self, a: int, e: int) -> int:
@@ -95,12 +89,6 @@ class FiniteGroup:
 
     def element_label(self, a: int) -> str:
         return self._repr_elem(self._elements[a])
-
-    def _find_identity(self) -> int:
-        for e in range(self.n):
-            if self.mul(e, 0) == 0 and all(self.mul(e, x) == x for x in range(self.n)):
-                return e
-        raise ValueError(f"{self.label} has no identity element")
 
     # -- element orders and cyclic subgroups --
 
@@ -165,14 +153,23 @@ class FiniteGroup:
             label or f"{self.label}[{len(members)}]",
             members,
             lambda a, b: parent.mul(a, b),
+            members.index(self.identity),
             repr_elem=lambda a: parent.element_label(a),
         )
 
     def generated_subgroup(self, generators) -> list[int]:
         """Element indices of the subgroup generated by the given indices."""
         members = {self.identity}
-        frontier = [self.identity]
-        gens = list(generators)
+        self._close(members, [self.identity], list(generators))
+        return sorted(members)
+
+    def _close(self, members: set[int], frontier: list[int], gens: list[int]) -> None:
+        """Grow `members` by right multiplication with `gens`, from `frontier` on.
+
+        Every member outside the frontier must already be closed under `gens`.
+        In a finite group the closure of a set containing the identity is the
+        subgroup it generates.
+        """
         while frontier:
             fresh = []
             for x in frontier:
@@ -182,16 +179,28 @@ class FiniteGroup:
                         members.add(y)
                         fresh.append(y)
             frontier = fresh
-        return sorted(members)
 
     def generating_set(self) -> list[int]:
+        """Greedy generators: each is the smallest index outside the closure so far.
+
+        The closure grows in place, so each element is multiplied by each
+        generator about once.
+        """
         if self._generators is None:
             gens: list[int] = []
-            covered = {self.identity}
+            members = {self.identity}
             for g in range(self.n):
-                if g not in covered:
-                    gens.append(g)
-                    covered = set(self.generated_subgroup(gens))
+                if g in members:
+                    continue
+                gens.append(g)
+                # old members are closed under the old generators: only g is new to them
+                fresh = []
+                for x in members:
+                    y = self.mul(x, g)
+                    if y not in members:
+                        fresh.append(y)
+                members.update(fresh)
+                self._close(members, fresh, gens)
             self._generators = gens
         return self._generators
 
@@ -201,34 +210,67 @@ class FiniteGroup:
             self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2)
         )
 
+    def _conjugators(self) -> list[tuple[int, int]]:
+        """(x, x^-1) for each generator x: conjugation by these generates conjugation by G."""
+        return [(x, self.inverse(x)) for x in self.generating_set()]
+
     def conjugacy_classes(self) -> list[list[int]]:
-        inverse = [self.inverse(x) for x in range(self.n)]
+        """Classes in order of their smallest element, each ascending.
+
+        Each class is the orbit of its smallest element under conjugation by
+        the generating set: 2*|gens| products per element.
+        """
+        conjugators = self._conjugators()
         seen = [False] * self.n
         classes = []
         for g in range(self.n):
             if seen[g]:
                 continue
-            cls = {self.mul(self.mul(x, g), inverse[x]) for x in range(self.n)}
-            for h in cls:
-                seen[h] = True
+            seen[g] = True
+            cls = [g]
+            for h in cls:  # cls grows while it is scanned
+                for x, x_inv in conjugators:
+                    y = self.mul(self.mul(x, h), x_inv)
+                    if not seen[y]:
+                        seen[y] = True
+                        cls.append(y)
             classes.append(sorted(cls))
         return classes
+
+    def normal_closure(self, g: int) -> set[int]:
+        """The smallest normal subgroup containing g.
+
+        Breadth-first from the identity under h -> h*g and h -> x*h*x^-1 for
+        each generator x. The set reached is closed under conjugation, so for
+        any conjugate y*g*y^-1 it holds h*y*g*y^-1 = y*(y^-1*h*y*g)*y^-1 as
+        well: it is closed under right multiplication by every conjugate of
+        g, which makes it the subgroup they generate. Each member costs
+        1 + 2*|gens| products, and the search stops once it passes half the
+        group: a subgroup of index below 2 is the whole group.
+        """
+        conjugators = self._conjugators()
+        members = {self.identity}
+        frontier = [self.identity]
+        while frontier:
+            fresh = []
+            for h in frontier:
+                for y in [self.mul(h, g)] + [self.mul(self.mul(x, h), x_inv)
+                                             for x, x_inv in conjugators]:
+                    if y not in members:
+                        members.add(y)
+                        fresh.append(y)
+            if 2 * len(members) > self.n:
+                return set(range(self.n))
+            frontier = fresh
+        return members
 
     def is_nonabelian_simple(self) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal subgroup."""
         if self._simple is None:
-            if self.n == 1 or self.is_abelian():
-                self._simple = False
-            else:
-                simple = True
-                for cls in self.conjugacy_classes():
-                    if cls == [self.identity]:
-                        continue
-                    closure = self.generated_subgroup(cls)
-                    if len(closure) < self.n:
-                        simple = False
-                        break
-                self._simple = simple
+            self._simple = self.n > 1 and not self.is_abelian() and all(
+                len(self.normal_closure(cls[0])) == self.n
+                for cls in self.conjugacy_classes() if cls[0] != self.identity
+            )
         return self._simple
 
     def __repr__(self) -> str:
@@ -239,10 +281,22 @@ class FiniteGroup:
 #
 # Each family has one order function: it checks the family's parameters and
 # returns the group order. The constructor calls it before building, and
-# spec_order calls it without building.
+# spec_order calls it without building. Given a cap, an order function may
+# return any value above the cap in place of a larger order, so that an
+# over-cap spec is rejected without multiplying its order out.
 
 
-def _cyclic_order(n: int) -> int:
+def _capped_product(factors, cap: int | None) -> int:
+    """The product of the factors, or with a cap, the running product once it passes the cap."""
+    out = 1
+    for f in factors:
+        out *= f
+        if cap is not None and out > cap:
+            break
+    return out
+
+
+def _cyclic_order(n: int, cap: int | None = None) -> int:
     if n < 1:
         raise GroupSpecError(f"cyclic order must be positive, got {n}")
     return n
@@ -250,10 +304,10 @@ def _cyclic_order(n: int) -> int:
 
 def cyclic_group(n: int) -> FiniteGroup:
     _cyclic_order(n)
-    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n, str)
+    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n, 0, str)
 
 
-def _dihedral_order(order: int) -> int:
+def _dihedral_order(order: int, cap: int | None = None) -> int:
     if order < 2 or order % 2:
         raise GroupSpecError(f"dihedral order must be even and >= 2, got {order}")
     return order
@@ -277,10 +331,10 @@ def dihedral_group(order: int) -> FiniteGroup:
             return "e" if i == 0 else f"r{i}"
         return "s" if i == 0 else f"r{i}s"
 
-    return FiniteGroup(f"dihedral:{order}", elements, mul, label)
+    return FiniteGroup(f"dihedral:{order}", elements, mul, 0, label)
 
 
-def _quaternion_order(order: int) -> int:
+def _quaternion_order(order: int, cap: int | None = None) -> int:
     if order % 4 or order < 8:
         raise GroupSpecError(f"quaternion order must be 4n with n >= 2, got {order}")
     return order
@@ -307,16 +361,16 @@ def quaternion_group(order: int) -> FiniteGroup:
             return "e" if i == 0 else f"a{i}"
         return "b" if i == 0 else f"a{i}b"
 
-    return FiniteGroup(f"quaternion:{order}", elements, mul, label)
+    return FiniteGroup(f"quaternion:{order}", elements, mul, 0, label)
 
 
-def _elementary_abelian_order(p: int, k: int) -> int:
+def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
     fac = prime_power(p)
     if fac is None or fac[1] != 1:
         raise GroupSpecError(f"elemabelian base {p} is not prime")
     if k < 1:
         raise GroupSpecError(f"elemabelian rank must be positive, got {k}")
-    return p ** k
+    return p ** k if cap is None else _capped_product(itertools.repeat(p, k), cap)
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -329,7 +383,7 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
     def label(g):
         return "(" + ",".join(map(str, g)) + ")"
 
-    return FiniteGroup(f"elemabelian:{p}:{k}", elements, mul, label)
+    return FiniteGroup(f"elemabelian:{p}:{k}", elements, mul, 0, label)
 
 
 def _compose(a, b):
@@ -370,22 +424,24 @@ def cycle_notation(perm) -> str:
     return "".join(parts) or "e"
 
 
-def _symmetric_order(n: int) -> int:
+def _symmetric_order(n: int, cap: int | None = None) -> int:
     if n < 1:
         raise GroupSpecError(f"sym degree must be positive, got {n}")
-    return factorial(n)
+    return factorial(n) if cap is None else _capped_product(range(2, n + 1), cap)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
     _symmetric_order(n)
-    elements = sorted(itertools.permutations(range(n)))
-    return FiniteGroup(f"sym:{n}", elements, _compose, cycle_notation)
+    elements = sorted(itertools.permutations(range(n)))  # the identity sorts first
+    return FiniteGroup(f"sym:{n}", elements, _compose, 0, cycle_notation)
 
 
-def _alternating_order(n: int) -> int:
+def _alternating_order(n: int, cap: int | None = None) -> int:
     if n < 1:
         raise GroupSpecError(f"alt degree must be positive, got {n}")
-    return max(1, factorial(n) // 2)
+    if cap is None:
+        return max(1, factorial(n) // 2)
+    return _capped_product(range(3, n + 1), cap)  # n!/2 = 3*4*...*n, and 1 for n <= 2
 
 
 def alternating_group(n: int) -> FiniteGroup:
@@ -393,10 +449,10 @@ def alternating_group(n: int) -> FiniteGroup:
     elements = sorted(
         p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1
     )
-    return FiniteGroup(f"alt:{n}", elements, _compose, cycle_notation)
+    return FiniteGroup(f"alt:{n}", elements, _compose, 0, cycle_notation)
 
 
-def _psl2_order(q: int) -> int:
+def _psl2_order(q: int, cap: int | None = None) -> int:
     if prime_power(q) is None:
         raise GroupSpecError(f"psl2 parameter {q} is not a prime power")
     return q * (q * q - 1) // gcd(2, q - 1)
@@ -449,7 +505,8 @@ def psl2_group(q: int) -> FiniteGroup:
         raise RuntimeError(
             f"psl2:{q} closure has {len(seen)} elements, expected {expected}"
         )
-    return FiniteGroup(f"psl2:{q}", sorted(seen), _compose, cycle_notation)
+    # the identity permutation sorts first
+    return FiniteGroup(f"psl2:{q}", sorted(seen), _compose, 0, cycle_notation)
 
 
 def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
@@ -461,7 +518,8 @@ def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
     def label(g):
         return f"({left.element_label(g[0])},{right.element_label(g[1])})"
 
-    return FiniteGroup(f"{left.label} x {right.label}", elements, mul, label)
+    return FiniteGroup(f"{left.label} x {right.label}", elements, mul,
+                       left.identity * right.n + right.identity, label)
 
 
 # -- spec grammar --
@@ -496,16 +554,20 @@ def _parse_atom(token: str) -> tuple[str, tuple[int, ...]]:
     return family, (first,) if second is None else (first, second)
 
 
-def spec_order(spec: str) -> int:
-    """Order of the group a spec describes, without building it."""
+def spec_order(spec: str, cap: int | None = None) -> int:
+    """Order of the group a spec describes, without building it.
+
+    With a cap, an order above the cap may come back as any value above it:
+    the factors stop being multiplied once their product passes the cap.
+    """
     atoms = [a.strip() for a in spec.split(" x ")]
     if not atoms or any(not a for a in atoms):
         raise GroupSpecError(f"cannot parse group spec {spec!r}")
-    order = 1
-    for atom in atoms:
+    orders = []
+    for atom in atoms:  # every atom is checked, even past the cap
         family, params = _parse_atom(atom)
-        order *= _FAMILIES[family][0](*params)
-    return order
+        orders.append(_FAMILIES[family][0](*params, cap=cap))
+    return _capped_product(orders, cap)
 
 
 def _build_atom(token: str) -> FiniteGroup:
@@ -515,10 +577,8 @@ def _build_atom(token: str) -> FiniteGroup:
 
 def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a spec like ``quaternion:8`` or ``cyclic:2 x cyclic:4``."""
-    order = spec_order(spec)
-    if order > order_cap:
-        raise OrderCapError(f"group {spec!r} has order {decimal_short(order)}, "
-                            f"above the cap {order_cap}")
+    if spec_order(spec, cap=order_cap) > order_cap:
+        raise OrderCapError(f"group {spec!r} has order above the cap {order_cap}")
     atoms = [a.strip() for a in spec.split(" x ")]
     group = _build_atom(atoms[0])
     for atom in atoms[1:]:

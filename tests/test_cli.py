@@ -173,7 +173,7 @@ def test_order_cap_enforced(capsys):
     assert main(["kappa", "cyclic:6", "--order-cap", "6"]) == 0
     capsys.readouterr()
     assert main(["kappa", "sym:2000"]) == 2  # an order past the int-to-str limit
-    assert "(5736 digits), above the cap 2000" in capsys.readouterr().err
+    assert "group 'sym:2000' has order above the cap 2000" in capsys.readouterr().err
 
 
 def test_engine_preconditions_fail_cleanly(capsys):

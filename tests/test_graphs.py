@@ -11,8 +11,7 @@ import pytest
 
 from powertree import (Graph, build_group, build_power_graph,
                        component_decomposition, full_degree_vertices,
-                       kappa_decomposed, reduced_power_graph, to_dot, to_json,
-                       to_json_dict)
+                       kappa_decomposed, to_dot, to_json, to_json_dict)
 
 
 def _random_graph(rng, n, p):
@@ -43,16 +42,6 @@ def test_graph_basics():
     assert sorted(map(sorted, g.components())) == [[0, 1, 2], [3]]
     with pytest.raises(ValueError):
         g.add_edge(2, 2)
-
-
-def test_subgraph_reindexes():
-    g = Graph.from_edges(5, [(0, 2), (2, 4), (0, 4), (1, 3)])
-    sub = g.subgraph([0, 2, 4])
-    assert sub.n == 3
-    assert sub.is_complete()
-    other = g.subgraph([1, 2, 3])
-    assert other.edges() == [(0, 2)]
-    assert g.subgraph([1, 2]).edge_count() == 0
 
 
 def test_components_match_networkx():
@@ -107,14 +96,11 @@ def test_quaternion_power_graph_shape():
     assert full_degree_vertices(graph) == [0, 2]
     # three maximal cyclic subgroups, each a complete block through {e, a2}
     for quad in ({0, 1, 2, 3}, {0, 2, 4, 6}, {0, 2, 5, 7}):
-        assert graph.subgraph(quad).is_complete()
+        assert all(graph.has_edge(a, b) for a, b in itertools.combinations(quad, 2))
     assert not graph.has_edge(1, 4)
     assert not graph.has_edge(4, 5)
-    reduced = reduced_power_graph(graph)
-    assert reduced.n == 7
-    assert reduced.element_of == list(range(1, 8))
-    assert reduced.identity_vertex is None
-    decomposition = component_decomposition(group, reduced)
+    assert graph.identity_vertex == 0
+    decomposition = component_decomposition(group, graph)
     assert decomposition.count == 1
     assert decomposition.sizes == [7]
     assert not decomposition.components[0].is_clique
@@ -197,9 +183,7 @@ def test_coprime_orders_are_never_adjacent():
 ])
 def test_cyclic_power_graph_complete_iff_prime_power(n, complete):
     graph = build_power_graph(build_group(f"cyclic:{n}"))
-    assert graph.is_complete() == complete
-    if complete:
-        assert graph.edge_count() == n * (n - 1) // 2
+    assert (graph.edge_count() == n * (n - 1) // 2) == complete
 
 
 def test_klein_style_product_component_sizes():
@@ -251,14 +235,6 @@ def test_json_export():
     assert json.loads(text) == payload
 
 
-def test_json_export_of_reduced_graph_keeps_element_ids():
-    graph = build_power_graph(build_group("quaternion:8"))
-    payload = to_json_dict(reduced_power_graph(graph))
-    assert payload["n"] == 7
-    assert payload["identity"] is None
-    assert all(1 <= a < b <= 7 for a, b in payload["edges"])
-
-
 def test_dot_export():
     graph = build_power_graph(build_group("quaternion:8"))
     text = to_dot(graph)
@@ -266,9 +242,8 @@ def test_dot_export():
     assert text.endswith("}\n")
     assert '  0 [label="e"];' in text
     assert text.count(" -- ") == 16
-    reduced_text = to_dot(reduced_power_graph(graph))
-    assert '  1 [label="a1"];' in reduced_text
-    assert '  0 [' not in reduced_text
+    assert '  1 [label="a1"];' in text
+    assert "  0 -- 1;" in text and "  1 -- 0;" not in text
 
 
 def test_complete_graph_export():

@@ -66,14 +66,6 @@ def test_group_axioms_sampled(spec):
         assert group.mul(a, group.inverse(a)) == group.identity
 
 
-def test_table_and_composition_backends_agree(monkeypatch):
-    dense = build_group("dihedral:12")
-    monkeypatch.setattr(groups, "TABLE_THRESHOLD", 0)
-    lazy = build_group("dihedral:12")
-    assert dense._table is not None and lazy._table is None
-    assert _table(dense).tolist() == _table(lazy).tolist()
-
-
 def test_cyclic_orders():
     group = build_group("cyclic:12")
     for g in range(12):
@@ -156,10 +148,73 @@ def test_conjugacy_classes():
 
 
 def test_is_nonabelian_simple():
-    for spec in ["alt:5", "alt:6", "psl2:7"]:
+    for spec in ["alt:5", "alt:6", "psl2:7", "psl2:8", "psl2:11"]:
         assert build_group(spec).is_nonabelian_simple()
-    for spec in ["cyclic:13", "sym:4", "alt:4", "quaternion:8", "psl2:2", "psl2:3"]:
+    for spec in ["cyclic:13", "sym:4", "alt:4", "quaternion:8", "psl2:2", "psl2:3",
+                 "sym:5", "alt:5 x cyclic:2", "dihedral:10"]:
         assert not build_group(spec).is_nonabelian_simple()
+
+
+def _brute_closure(group, gens) -> set[int]:
+    """Closure of {e} under right multiplication by gens, one element at a time."""
+    members = {group.identity}
+    stack = [group.identity]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in members:
+                members.add(y)
+                stack.append(y)
+    return members
+
+
+def _sole_identity(group) -> int:
+    """The one element fixing every element on both sides; fails unless there is exactly one."""
+    (identity,) = [e for e in range(group.n)
+                   if all(group.mul(e, x) == x == group.mul(x, e) for x in range(group.n))]
+    return identity
+
+
+@pytest.mark.parametrize("spec", TABLE_GROUPS + [
+    "sym:5", "psl2:7", "psl2:8", "alt:6", "sym:3 x cyclic:3",
+])
+def test_group_routines_match_brute_force(spec):
+    group = build_group(spec)
+    n = group.n
+    assert _sole_identity(group) == group.identity
+    assert _brute_closure(group, group.generating_set()) == set(range(n))
+    classes = group.conjugacy_classes()
+    assert sorted(g for cls in classes for g in cls) == list(range(n))
+    assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+    for cls in classes:
+        g = cls[0]
+        conjugates = {group.mul(group.mul(x, g), group.inverse(x)) for x in range(n)}
+        assert conjugates == set(cls)
+        if n <= 120:  # closure of the class, n*|class| products per class
+            assert group.normal_closure(g) == _brute_closure(group, cls)
+
+
+def _shifted_cyclic(n: int) -> groups.FiniteGroup:
+    """Z_n with the elements listed from 1, so its identity 0 sits at the last index."""
+    return groups.FiniteGroup(f"shifted:{n}", [*range(1, n), 0],
+                              lambda a, b: (a + b) % n, n - 1)
+
+
+def test_identity_index_is_passed_through_subgroups_and_products():
+    z6 = _shifted_cyclic(6)
+    assert z6.identity == 5 == _sole_identity(z6)
+    evens = [i for i in range(6) if z6.element_label(i) in {"0", "2", "4"}]
+    sub = z6.subgroup(evens)
+    assert sub.element_label(sub.identity) == "0"
+    assert sub.identity == _sole_identity(sub)
+    for left, right in [(z6, cyclic_group(3)), (cyclic_group(4), z6), (sub, z6)]:
+        product = direct_product(left, right)
+        assert product.identity == _sole_identity(product)
+        assert product.element_label(product.identity) == (
+            f"({left.element_label(left.identity)},{right.element_label(right.identity)})")
+    with pytest.raises(ValueError):
+        groups.FiniteGroup("bad", [0, 1], lambda a, b: (a + b) % 2, 2)
 
 
 def test_subgroup_construction():
@@ -256,6 +311,26 @@ def test_order_cap():
     # 2000! has 5736 digits, past Python's 4300-digit int-to-str limit
     with pytest.raises(OrderCapError, match="above the cap 2000"):
         build_group("sym:2000")
+
+
+@pytest.mark.parametrize("spec", [
+    "sym:1000000", "elemabelian:2:100000000", "cyclic:2 x sym:1000000",
+])
+def test_over_cap_specs_are_rejected_without_their_order(spec):
+    # multiplied out, these orders have millions of digits
+    with pytest.raises(OrderCapError, match="above the cap 2000"):
+        build_group(spec)
+    assert spec_order(spec, cap=2000) > 2000
+
+
+def test_capped_spec_order():
+    for spec in ["sym:7", "alt:7", "elemabelian:3:7", "psl2:13", "sym:3 x alt:5", "alt:2"]:
+        exact = spec_order(spec)
+        for cap in (1, exact - 1, exact, exact + 1, 10 ** 6):
+            capped = spec_order(spec, cap=cap)
+            assert capped == exact if exact <= cap else capped > cap
+    with pytest.raises(GroupSpecError):  # atoms past the cap are still checked
+        spec_order("sym:1000 x dihedral:7", cap=2000)
 
 
 def test_power_graph_smoke_on_products():
