@@ -5,7 +5,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import gcd
 
 from .arith import euler_phi, prime_factors, prime_power
 from .fields import GF
@@ -370,7 +370,7 @@ def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
         raise GroupSpecError(f"elemabelian base {p} is not prime")
     if k < 1:
         raise GroupSpecError(f"elemabelian rank must be positive, got {k}")
-    return p ** k if cap is None else _capped_product(itertools.repeat(p, k), cap)
+    return _capped_product(itertools.repeat(p, k), cap)
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -427,7 +427,7 @@ def cycle_notation(perm) -> str:
 def _symmetric_order(n: int, cap: int | None = None) -> int:
     if n < 1:
         raise GroupSpecError(f"sym degree must be positive, got {n}")
-    return factorial(n) if cap is None else _capped_product(range(2, n + 1), cap)
+    return _capped_product(range(2, n + 1), cap)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -439,8 +439,6 @@ def symmetric_group(n: int) -> FiniteGroup:
 def _alternating_order(n: int, cap: int | None = None) -> int:
     if n < 1:
         raise GroupSpecError(f"alt degree must be positive, got {n}")
-    if cap is None:
-        return max(1, factorial(n) // 2)
     return _capped_product(range(3, n + 1), cap)  # n!/2 = 3*4*...*n, and 1 for n <= 2
 
 
