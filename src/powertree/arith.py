@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -47,21 +48,33 @@ def primes_below(limit: int) -> list[int]:
     return [i for i in range(limit) if sieve[i]]
 
 
+def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Split off every prime <= bound from n >= 1 by trial division.
+
+    Returns the exponents found and the cofactor, which no prime <= bound divides.
+    """
+    factors: dict[int, int] = {}
+    rem = n
+    p = 2
+    while rem > 1 and p <= bound:
+        if p * p > rem:
+            # the remainder is prime; split it off only if it is within the bound
+            if rem <= bound:
+                factors[rem] = factors.get(rem, 0) + 1
+                rem = 1
+            break
+        while rem % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rem //= p
+        p += 1 if p == 2 else 2
+    return factors, rem
+
+
 def prime_factors(n: int) -> dict[int, int]:
     """Complete factorization of n >= 1 by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
-    out: dict[int, int] = {}
-    rem = n
-    p = 2
-    while p * p <= rem:
-        while rem % p == 0:
-            out[p] = out.get(p, 0) + 1
-            rem //= p
-        p += 1 if p == 2 else 2
-    if rem > 1:
-        out[rem] = out.get(rem, 0) + 1
-    return out
+    return _trial_divide(n, n)[0]
 
 
 def euler_phi(n: int) -> int:
@@ -139,51 +152,41 @@ def valuation(n: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class FactoredInt:
-    """A positive integer together with its small-prime factorization.
+    """A positive integer held as its small-prime factorization.
 
     Primes up to the construction bound are split into ``factors``; whatever
     remains (coprime to every prime below the bound) sits in ``cofactor``.
+    Products and powers add and scale exponents; ``value`` multiplies the
+    factorization out once, the first time it is read.
     """
 
-    value: int
     factors: dict[int, int] = field(default_factory=dict)
     cofactor: int = 1
 
     def __post_init__(self):
-        if self.value < 1 or self.cofactor < 1:
-            raise ValueError(f"factored integers must be positive, got {self.value}")
-        prod = self.cofactor
+        if self.cofactor < 1:
+            raise ValueError(f"factored integers must be positive, got cofactor {self.cofactor}")
         for p, e in self.factors.items():
             if e < 1:
                 raise ValueError(f"non-positive exponent for prime {p}")
-            prod *= p ** e
-        if prod != self.value:
-            raise ValueError(f"factorization does not multiply out to {self.value}")
+
+    @cached_property
+    def value(self) -> int:
+        out = self.cofactor
+        for p, e in self.factors.items():
+            out *= p ** e
+        return out
 
     @classmethod
     def one(cls) -> FactoredInt:
-        return cls(1, {}, 1)
+        return cls()
 
     @classmethod
     def from_int(cls, value: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
         """Factor out every prime <= bound by trial division."""
         if value < 1:
             raise ValueError(f"cannot factor non-positive integer {value}")
-        factors: dict[int, int] = {}
-        rem = value
-        p = 2
-        while rem > 1 and p <= bound:
-            if p * p > rem:
-                # remainder is prime; keep it only if it clears the bound
-                if rem <= bound:
-                    factors[rem] = factors.get(rem, 0) + 1
-                    rem = 1
-                break
-            while rem % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                rem //= p
-            p += 1 if p == 2 else 2
-        return cls(value, factors, rem)
+        return cls(*_trial_divide(value, bound))
 
     @classmethod
     def parse(cls, text: str, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
@@ -232,10 +235,7 @@ class FactoredInt:
                 raise ValueError(f"primes must be strictly ascending at token {token!r}")
             factors[p] = e
             previous = p
-        value = cofactor
-        for p, e in factors.items():
-            value *= p ** e
-        return cls(value, factors, cofactor)
+        return cls(factors, cofactor)
 
     def __str__(self) -> str:
         parts = [f"{p}^{e}" if e != 1 else str(p) for p, e in sorted(self.factors.items())]
@@ -262,18 +262,15 @@ class FactoredInt:
         merged = dict(self.factors)
         for p, e in other.factors.items():
             merged[p] = merged.get(p, 0) + e
-        return FactoredInt(self.value * other.value, merged, self.cofactor * other.cofactor)
+        return FactoredInt(merged, self.cofactor * other.cofactor)
 
     def __pow__(self, exponent: int) -> FactoredInt:
         if exponent < 0:
             raise ValueError("negative powers leave the integers")
         if exponent == 0:
             return FactoredInt.one()
-        return FactoredInt(
-            self.value ** exponent,
-            {p: e * exponent for p, e in self.factors.items()},
-            self.cofactor ** exponent,
-        )
+        return FactoredInt({p: e * exponent for p, e in self.factors.items()},
+                           self.cofactor ** exponent)
 
     def valuation(self, p: int) -> int:
         """p-adic valuation of the value (exact even for primes above the bound)."""

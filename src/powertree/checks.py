@@ -47,6 +47,7 @@ class VerificationResult:
             "group": self.group_label,
             "holds": self.holds,
             "witness": self.witness,
+            "applicable": self.applicable,
         }
 
 
@@ -214,12 +215,8 @@ def verify_clique_components(source) -> VerificationResult:
             applicable=False,
         )
     p = pk[0]
-    remaining = bundle.kappa.value
-    exponent = 0
-    while remaining % p == 0:
-        remaining //= p
-        exponent += 1
-    holds = remaining == 1
+    exponent = bundle.kappa.valuation(p)
+    holds = bundle.kappa.value == p ** exponent
     witness = (f"kappa = {bundle.kappa}; prime support {{{p}}}" if exponent
                else "kappa = 1; empty prime support")
     if not holds:

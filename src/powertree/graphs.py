@@ -196,8 +196,7 @@ def full_degree_vertices(pg: PowerGraph) -> list[int]:
 def to_dot(pg: PowerGraph) -> str:
     """GraphViz text; node ids are element indices."""
     lines = ["graph power {"]
-    for v in range(pg.n):
-        lines.append(f'  {v} [label="{pg.labels[v]}"];')
+    lines += [f'  {v} [label="{label}"];' for v, label in enumerate(pg.labels)]
     for a, b in pg.edges():
         lines.append(f"  {a} -- {b};")
     lines.append("}")

@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import euler_phi, prime_factors, prime_power
+from .arith import prime_factors, prime_power
 from .fields import GF
 
 DEFAULT_ORDER_CAP = 2000
@@ -26,7 +26,6 @@ class ElementProfile:
     """Order data for one group element, shared by every generator of its cyclic subgroup."""
 
     order: int
-    generator_count: int  # phi(order): generators of the cyclic subgroup
     subgroup: frozenset[int]
 
 
@@ -102,7 +101,7 @@ class FiniteGroup:
             members.append(x)
             x = self.mul(x, a)
         order = len(members)
-        prof = ElementProfile(order, euler_phi(order), frozenset(members))
+        prof = ElementProfile(order, frozenset(members))
         for k in range(order):  # a^k generates the same subgroup iff gcd(k, order) = 1
             if gcd(k, order) == 1:
                 self._profiles[members[k]] = prof
@@ -283,7 +282,8 @@ class FiniteGroup:
 # returns the group order. The constructor calls it before building, and
 # spec_order calls it without building. Given a cap, an order function may
 # return any value above the cap in place of a larger order, so that an
-# over-cap spec is rejected without multiplying its order out.
+# over-cap spec is rejected without multiplying its order out or factoring
+# its parameters.
 
 
 def _capped_product(factors, cap: int | None) -> int:
@@ -365,11 +365,13 @@ def quaternion_group(order: int) -> FiniteGroup:
 
 
 def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
+    if k < 1:
+        raise GroupSpecError(f"elemabelian rank must be positive, got {k}")
+    if cap is not None and p > cap:  # the order p^k is at least p
+        return p
     fac = prime_power(p)
     if fac is None or fac[1] != 1:
         raise GroupSpecError(f"elemabelian base {p} is not prime")
-    if k < 1:
-        raise GroupSpecError(f"elemabelian rank must be positive, got {k}")
     return _capped_product(itertools.repeat(p, k), cap)
 
 
@@ -451,6 +453,8 @@ def alternating_group(n: int) -> FiniteGroup:
 
 
 def _psl2_order(q: int, cap: int | None = None) -> int:
+    if cap is not None and q > cap:  # the order q(q^2-1)/gcd(2, q-1) is at least q
+        return q
     if prime_power(q) is None:
         raise GroupSpecError(f"psl2 parameter {q} is not a prime power")
     return q * (q * q - 1) // gcd(2, q - 1)

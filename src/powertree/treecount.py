@@ -233,7 +233,7 @@ def closed_form_quaternion(n: int) -> FactoredInt:
     if n < 2 or pk is None or pk[0] != 2:
         raise ValueError(f"closed form needs n a power of two with n >= 2, got {n}")
     exponent = 5 * n - 1 + pk[1] * (2 * n - 2)
-    return FactoredInt(2 ** exponent, {2: exponent}, 1)
+    return FactoredInt({2: exponent})
 
 
 def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
@@ -253,7 +253,7 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
     exponent, rem = divmod((q * q - 1) * (p - 2), p - 1)
     if rem:  # q = p^m is 1 mod p - 1, so this cannot happen for a prime power q
         raise ExactnessError(f"(q^2-1)(p-2) is not divisible by p-1 for q = {q}")
-    p_part = FactoredInt(p ** exponent, {p: exponent} if exponent else {}, 1)
+    p_part = FactoredInt({p: exponent} if exponent else {})
     minus = _cyclic_kappa((q - 1) // k, factor_bound) ** (q * (q + 1) // 2)
     plus = _cyclic_kappa((q + 1) // k, factor_bound) ** (q * (q - 1) // 2)
     return p_part * minus * plus

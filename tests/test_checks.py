@@ -175,9 +175,12 @@ def test_simple_order_count_claim():
 def test_result_json_shape():
     result = verify_component_count("quaternion:8")
     payload = result.to_json_dict()
-    assert list(payload) == ["claim_id", "group", "holds", "witness"]
+    assert list(payload) == ["claim_id", "group", "holds", "witness", "applicable"]
     assert payload["group"] == "quaternion:8"
     assert payload["holds"] is True
+    assert payload["applicable"] is True
+    skipped = verify_clique_components("cyclic:6").to_json_dict()
+    assert skipped["holds"] is True and skipped["applicable"] is False
 
 
 def test_run_verifications_small_corpus():

@@ -93,8 +93,11 @@ def test_verify_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload
     for row in payload:
-        assert list(row) == ["claim_id", "group", "holds", "witness"]
+        assert list(row) == ["claim_id", "group", "holds", "witness", "applicable"]
         assert row["holds"] is True
+    # cyclic:6 is not a p-group, so its clique-components row passes without applying
+    assert [row["claim_id"] for row in payload if not row["applicable"]] == [
+        "clique-components-single-prime"]
 
 
 def test_verify_custom_corpus(capsys, tmp_path):

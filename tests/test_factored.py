@@ -141,11 +141,9 @@ def test_parse_rejects_malformed_literals(text):
 
 def test_constructor_validates():
     with pytest.raises(ValueError):
-        FactoredInt(12, {2: 2}, 1)  # does not multiply out
+        FactoredInt({}, 0)
     with pytest.raises(ValueError):
-        FactoredInt(0)
-    with pytest.raises(ValueError):
-        FactoredInt(4, {2: 0}, 4)
+        FactoredInt({2: 0}, 3)
 
 
 def test_multiplication_and_powers():
@@ -159,6 +157,18 @@ def test_multiplication_and_powers():
         a ** -1
 
 
+def test_arithmetic_leaves_the_value_unmultiplied():
+    a6 = FactoredInt.parse("2^180*3^40*5^108")
+    big = a6 ** 10 ** 6 * FactoredInt.from_int(7 * 10007, bound=100)
+    assert big.factors == {2: 180 * 10 ** 6, 3: 40 * 10 ** 6, 5: 108 * 10 ** 6, 7: 1}
+    assert big.cofactor == 10007
+    assert big.valuation(5) == 108 * 10 ** 6
+    assert str(big) == "2^180000000*3^40000000*5^108000000*7*10007"
+    assert "value" not in vars(a6) and "value" not in vars(big)
+    assert a6.value == 2 ** 180 * 3 ** 40 * 5 ** 108
+    assert vars(a6)["value"] is a6.value  # multiplied out once, then kept
+
+
 def test_valuation_method_exact_past_bound():
     fi = FactoredInt.parse("2^3*10007")
     assert fi.valuation(2) == 3
@@ -170,4 +180,4 @@ def test_equality_and_int_conversion():
     assert FactoredInt.from_int(540) == 540
     assert FactoredInt.from_int(540) == FactoredInt.parse("2^2*3^3*5")
     assert int(FactoredInt.from_int(540)) == 540
-    assert hash(FactoredInt.from_int(7)) == hash(FactoredInt(7, {7: 1}, 1))
+    assert hash(FactoredInt.from_int(7)) == hash(FactoredInt({7: 1}))

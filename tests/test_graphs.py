@@ -246,6 +246,21 @@ def test_dot_export():
     assert "  0 -- 1;" in text and "  1 -- 0;" not in text
 
 
+def test_dot_export_formats_each_label_once(monkeypatch):
+    group = build_group("sym:4")
+    graph = build_power_graph(group)
+    calls = Counter()
+    element_label = group.element_label
+
+    def counting_label(a):
+        calls[a] += 1
+        return element_label(a)
+
+    monkeypatch.setattr(group, "element_label", counting_label)
+    to_dot(graph)
+    assert calls == Counter(range(group.n))
+
+
 def test_complete_graph_export():
     graph = build_power_graph(build_group("cyclic:5"))
     assert to_json_dict(graph)["edges"] == [

@@ -315,9 +315,11 @@ def test_order_cap():
 
 @pytest.mark.parametrize("spec", [
     "sym:1000000", "elemabelian:2:100000000", "cyclic:2 x sym:1000000",
+    "psl2:1000000000000000000000007", "elemabelian:1000000000000000000000007:1",
 ])
 def test_over_cap_specs_are_rejected_without_their_order(spec):
-    # multiplied out, these orders have millions of digits
+    # multiplied out, these orders have millions of digits; the prime
+    # parameters would take about 10^12 trial divisions to validate
     with pytest.raises(OrderCapError, match="above the cap 2000"):
         build_group(spec)
     assert spec_order(spec, cap=2000) > 2000
@@ -331,6 +333,10 @@ def test_capped_spec_order():
             assert capped == exact if exact <= cap else capped > cap
     with pytest.raises(GroupSpecError):  # atoms past the cap are still checked
         spec_order("sym:1000 x dihedral:7", cap=2000)
+    # a parameter above the cap bounds the order from below before it is factored
+    assert spec_order("psl2:2002", cap=2000) > 2000
+    with pytest.raises(GroupSpecError):
+        spec_order("psl2:2002")
 
 
 def test_power_graph_smoke_on_products():

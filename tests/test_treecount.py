@@ -207,17 +207,36 @@ def test_psl2_closed_form():
             closed_form_psl2(bad)
 
 
-def test_psl2_closed_form_counts_its_cyclic_factors_past_the_matrix_tree_limit(monkeypatch):
+def test_psl2_closed_form_counts_its_cyclic_factors_past_the_matrix_tree_limit():
     # q = 727 needs kappa of cyclic:363 and cyclic:364, both above the limit.
     # The closed form itself has about 1.6e9 bits, too many to multiply out
     # here, so its two cyclic factors are checked against det(J + Q) instead.
     for m in (363, 364):
-        assert m > treecount.MATRIX_TREE_VERTEX_LIMIT
+        with pytest.raises(VertexLimitError):
+            kappa_matrix_tree(_power_graph(f"cyclic:{m}"))
         bundle = GroupBundle(f"cyclic:{m}")
         assert bundle.det_jq == m * m * treecount._cyclic_kappa(m, DEFAULT_FACTOR_BOUND).value
-    monkeypatch.setattr(treecount, "MATRIX_TREE_VERTEX_LIMIT", 1)
     assert closed_form_psl2(9) == FactoredInt.parse("2^180*3^40*5^108")
     assert closed_form_psl2(13) == kappa_decomposed(_power_graph("psl2:13"))
+
+
+def test_psl2_closed_form_past_q_250():
+    # kappa(PSL(2, 257)) has millions of bits: only its factorization is read,
+    # never its value, hash or equality.
+    q = 257
+    kappa = closed_form_psl2(q)
+    minus = treecount._cyclic_kappa((q - 1) // 2, DEFAULT_FACTOR_BOUND)
+    plus = treecount._cyclic_kappa((q + 1) // 2, DEFAULT_FACTOR_BOUND)
+    assert minus.value == 128 ** 126  # K_128: Cayley's formula
+    assert 129 ** 2 * plus.value == GroupBundle("cyclic:129").det_jq
+    p_exponent = (q * q - 1) * (q - 2) // (q - 1)
+    expected = {q: p_exponent}
+    for cyclic, power in ((minus, q * (q + 1) // 2), (plus, q * (q - 1) // 2)):
+        for p, e in cyclic.factors.items():
+            expected[p] = expected.get(p, 0) + e * power
+    assert kappa.factors == expected
+    assert kappa.cofactor == minus.cofactor ** (q * (q + 1) // 2) * plus.cofactor ** (q * (q - 1) // 2)
+    assert kappa.valuation(q) == p_exponent == 258 * 255
 
 
 @st.composite
