@@ -243,6 +243,9 @@ class FactoredInt:
             parts.append(decimal_str(self.cofactor))
         return "*".join(parts) if parts else "1"
 
+    def __repr__(self) -> str:
+        return f"FactoredInt(factors={self.factors!r}, cofactor={decimal_str(self.cofactor)})"
+
     def __int__(self) -> int:
         return self.value
 

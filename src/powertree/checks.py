@@ -18,19 +18,6 @@ from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
 from .treecount import kappa_decomposed
 
-CLAIM_IDS = (
-    "pgroup-component-count",
-    "maximal-prime-kappa-divisor",
-    "full-degree-det-divisor",
-    "maximal-order-det-divisor",
-    "element-degree-det-divisor",
-    "clique-components-single-prime",
-    "trivial-intersection-product-bound",
-    "smallest-prime-factorial-cap",
-    "simple-order-p-count",
-)
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     """Outcome of one claim checked on one group."""
@@ -138,7 +125,7 @@ def verify_maximal_prime_divisor(source) -> VerificationResult:
             "no maximal element order is prime",
         )
     kappa = bundle.kappa
-    holds = all(kappa.value % p ** (p - 2) == 0 for p in primes)
+    holds = all(kappa.valuation(p) >= p - 2 for p in primes)
     parts = ", ".join(f"{p}^{p - 2}" for p in primes)
     return VerificationResult(
         "maximal-prime-kappa-divisor", bundle.label, holds,
@@ -228,7 +215,11 @@ def verify_clique_components(source) -> VerificationResult:
 
 def verify_product_bound(source, subgroups) -> VerificationResult:
     """Pairwise trivially intersecting proper subgroups H_i force
-    kappa(G) > kappa(H_1) * ... * kappa(H_t)."""
+    kappa(G) > kappa(H_1) * ... * kappa(H_t).
+
+    P(H) is P(G) induced on H, so each kappa(H_i) is counted on the rows of
+    the group's own power graph.
+    """
     bundle = _as_bundle(source)
     group = bundle.group
     member_sets = [frozenset(members) for members in subgroups]
@@ -237,22 +228,23 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
             raise ValueError("subgroups must be nontrivial")
         if len(members) >= group.n:
             raise ValueError("subgroups must be proper")
+        if group.identity not in members:
+            raise ValueError("subgroups must contain the identity")
+        if any(group.mul(a, b) not in members for a in members for b in members):
+            raise ValueError(f"a set of {len(members)} elements of {bundle.label} is not closed")
     for i in range(len(member_sets)):
         for j in range(i + 1, len(member_sets)):
             if member_sets[i] & member_sets[j] != {group.identity}:
                 raise ValueError("subgroup intersections must be trivial")
     product = 1
-    orders = []
     for members in member_sets:
-        sub = group.subgroup(members)
-        product *= kappa_decomposed(build_power_graph(sub), bundle.factor_bound).value
-        orders.append(sub.n)
+        product *= twin_class_kappa(bundle.graph.rows, members, group.identity)
     kappa = bundle.kappa
     holds = kappa.value > product
     return VerificationResult(
         "trivial-intersection-product-bound", bundle.label, holds,
         f"kappa = {kappa} {'>' if holds else '<='} {decimal_short(product)} "
-        f"(product over subgroups of orders {orders})",
+        f"(product over subgroups of orders {[len(members) for members in member_sets]})",
     )
 
 
@@ -285,7 +277,8 @@ def verify_simple_order_count(source, p: int) -> VerificationResult:
         raise ValueError(f"{bundle.label} is not a nonabelian simple group")
     if group.n % p != 0:
         raise ValueError(f"{p} does not divide |{bundle.label}|")
-    count = sum(1 for g in range(group.n) if group.order_of(g) == p)
+    # each cyclic subgroup of order p holds p - 1 elements of order p
+    count = group.spectrum().cyclic_counts.get(p, 0) * (p - 1)
     bound = p * p - 1
     return VerificationResult(
         "simple-order-p-count", bundle.label, count >= bound,
@@ -315,52 +308,33 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
     # The degree bound is only guaranteed for elements whose neighbours all
     # lie inside their own cyclic subgroup (equivalently, the subgroup is
     # maximal cyclic); other elements can and do violate it.  One row per
-    # group, covering one generator of each maximal cyclic subgroup.
+    # group, covering the smallest generator of each maximal cyclic subgroup.
+    # The identity (degree n - 1, order 1) never qualifies once n > 1.
     group = bundle.group
     if group.n == 1:
         return []
     det = bundle.det_jq
     n = group.n
-    seen: set[frozenset[int]] = set()
-    failures = []
-    best = None  # (divisor, -index, degree, phi)
-    for g in range(group.n):
-        if g == group.identity:
-            continue
+    count = 0
+    best = None  # (divisor, element, degree, phi)
+    for prof, generators in group.cyclic_subgroups().items():
+        g = generators[0]
         k = bundle.graph.degree(g)
-        if k != group.order_of(g) - 1:
+        if k != prof.order - 1:
             continue
-        sub = group.cyclic_subgroup(g)
-        if sub in seen:
-            continue
-        seen.add(sub)
-        phi = euler_phi(group.order_of(g))
+        count += 1
+        phi = euler_phi(prof.order)
         divisor = n * (k + 1) ** phi
         if det % divisor != 0:
-            failures.append((g, k, phi, divisor))
-        if best is None or (divisor, -g) > (best[0], -best[1]):
+            return [verify_element_degree_divisor(bundle, g)]
+        if best is None or divisor > best[0]:
             best = (divisor, g, k, phi)
-    if failures:
-        g, k, phi, divisor = failures[0]
-        witness = (f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = "
-                   f"{decimal_short(divisor)} does not divide det(J+Q) = {decimal_short(det)}")
-    else:
-        divisor, g, k, phi = best
-        count = len(seen)
-        plural = "s" if count != 1 else ""
-        witness = (f"{n}*{k + 1}^{phi} = {decimal_short(divisor)} divides det(J+Q) = "
-                   f"{decimal_short(det)} (largest divisor over {count} maximal cyclic "
-                   f"subgroup{plural})")
-    return [VerificationResult(
-        "element-degree-det-divisor", bundle.label, not failures, witness,
-    )]
-
-
-def _canonical_prime_subgroup(group: FiniteGroup, p: int) -> frozenset[int]:
-    for g in range(group.n):
-        if group.order_of(g) == p:
-            return group.cyclic_subgroup(g)
-    raise ValueError(f"no element of order {p} in {group.label}")
+    divisor, g, k, phi = best
+    plural = "s" if count != 1 else ""
+    witness = (f"{n}*{k + 1}^{phi} = {decimal_short(divisor)} divides det(J+Q) = "
+               f"{decimal_short(det)} (largest divisor over {count} maximal cyclic "
+               f"subgroup{plural})")
+    return [VerificationResult("element-degree-det-divisor", bundle.label, True, witness)]
 
 
 def _product_bound_instance(bundle: GroupBundle):
@@ -383,18 +357,13 @@ def _product_bound_instance(bundle: GroupBundle):
         return None, ("kappa = 1 equals every admissible product bound "
                       "(star-shaped power graph)")
     primes = sorted(spectrum.primes)
+    # cyclic subgroups of prime order, in order of their smallest generator
+    prime_subgroups = [prof.subgroup for prof in group.cyclic_subgroups()
+                       if prof.order in spectrum.primes]
     if len(primes) == 1:
-        p = primes[0]
-        chosen = []
-        for g in range(n):
-            if group.order_of(g) == p:
-                sub = group.cyclic_subgroup(g)
-                if sub not in chosen:
-                    chosen.append(sub)
-                if len(chosen) == 2:
-                    break
+        chosen = prime_subgroups[:2]
     else:
-        chosen = [_canonical_prime_subgroup(group, p) for p in primes]
+        chosen = [next(s for s in prime_subgroups if len(s) == p) for p in primes]
     if not _has_outside_witness(bundle, chosen):
         # drop the largest odd-prime subgroup: its generator becomes an
         # outside vertex adjacent to at least two others
@@ -410,39 +379,33 @@ def _has_outside_witness(bundle: GroupBundle, chosen) -> bool:
                for v in range(bundle.group.n) if v not in union)
 
 
-def _rows_for(bundle: GroupBundle, claim: str) -> list[VerificationResult]:
-    group = bundle.group
-    if claim == "pgroup-component-count":
-        if prime_power(group.n) is None:
-            return []
-        return [verify_component_count(bundle)]
-    if claim == "maximal-prime-kappa-divisor":
-        return [verify_maximal_prime_divisor(bundle)]
-    if claim == "full-degree-det-divisor":
-        return [verify_full_degree_divisor(bundle)]
-    if claim == "maximal-order-det-divisor":
-        return [verify_maximal_order_divisor(bundle, m)
-                for m in sorted(group.spectrum().maximal_orders)]
-    if claim == "element-degree-det-divisor":
-        return _element_degree_rows(bundle)
-    if claim == "clique-components-single-prime":
-        return [verify_clique_components(bundle)]
-    if claim == "trivial-intersection-product-bound":
-        chosen, reason = _product_bound_instance(bundle)
-        if chosen is None:
-            return [VerificationResult(
-                "trivial-intersection-product-bound", bundle.label, True,
-                f"not applicable: {reason}", applicable=False,
-            )]
-        return [verify_product_bound(bundle, chosen)]
-    if claim == "smallest-prime-factorial-cap":
-        return [verify_factorial_cap(bundle)]
-    if claim == "simple-order-p-count":
-        if not group.is_nonabelian_simple():
-            return []
-        return [verify_simple_order_count(bundle, p)
-                for p in sorted(group.spectrum().primes)]
-    raise ValueError(f"unknown claim id {claim!r}")
+def _product_bound_rows(bundle: GroupBundle) -> list[VerificationResult]:
+    chosen, reason = _product_bound_instance(bundle)
+    if chosen is None:
+        return [VerificationResult(
+            "trivial-intersection-product-bound", bundle.label, True,
+            f"not applicable: {reason}", applicable=False,
+        )]
+    return [verify_product_bound(bundle, chosen)]
+
+
+# claim id -> the rows it adds for one group, in the runner's order
+_CLAIM_ROWS = {
+    "pgroup-component-count": lambda b: (
+        [verify_component_count(b)] if prime_power(b.group.n) is not None else []),
+    "maximal-prime-kappa-divisor": lambda b: [verify_maximal_prime_divisor(b)],
+    "full-degree-det-divisor": lambda b: [verify_full_degree_divisor(b)],
+    "maximal-order-det-divisor": lambda b: [
+        verify_maximal_order_divisor(b, m) for m in sorted(b.group.spectrum().maximal_orders)],
+    "element-degree-det-divisor": _element_degree_rows,
+    "clique-components-single-prime": lambda b: [verify_clique_components(b)],
+    "trivial-intersection-product-bound": _product_bound_rows,
+    "smallest-prime-factorial-cap": lambda b: [verify_factorial_cap(b)],
+    "simple-order-p-count": lambda b: (
+        [verify_simple_order_count(b, p) for p in sorted(b.group.spectrum().primes)]
+        if b.group.is_nonabelian_simple() else []),
+}
+CLAIM_IDS = tuple(_CLAIM_ROWS)
 
 
 def run_verifications(specs=None, claims=None, order_cap: int = DEFAULT_ORDER_CAP,
@@ -454,12 +417,12 @@ def run_verifications(specs=None, claims=None, order_cap: int = DEFAULT_ORDER_CA
         selected = CLAIM_IDS
     else:
         for claim in claims:
-            if claim not in CLAIM_IDS:
+            if claim not in _CLAIM_ROWS:
                 raise ValueError(f"unknown claim id {claim!r}")
         selected = tuple(claims)
     results = []
     for spec in specs:
         bundle = GroupBundle(spec, order_cap=order_cap, factor_bound=factor_bound)
         for claim in selected:
-            results.extend(_rows_for(bundle, claim))
+            results.extend(_CLAIM_ROWS[claim](bundle))
     return results

@@ -114,7 +114,8 @@ class FiniteGroup:
         return self.profile(a).subgroup
 
     def cyclic_subgroups(self) -> dict[ElementProfile, list[int]]:
-        """Each distinct cyclic subgroup's profile -> its generators, ascending."""
+        """Each distinct cyclic subgroup's profile -> its generators, ascending,
+        keyed in order of smallest generator."""
         out: dict[ElementProfile, list[int]] = {}
         for g in range(self.n):
             out.setdefault(self.profile(g), []).append(g)
@@ -133,34 +134,7 @@ class FiniteGroup:
             )
         return self._spectrum
 
-    # -- subgroups --
-
-    def subgroup(self, members, label: str | None = None) -> FiniteGroup:
-        """The subgroup on the given element indices (must be closed)."""
-        members = sorted(set(members))
-        member_set = set(members)
-        if self.identity not in member_set:
-            raise ValueError("subgroup must contain the identity")
-        for a in members:
-            for b in members:
-                if self.mul(a, b) not in member_set:
-                    raise ValueError(
-                        f"elements {a},{b} of {self.label} do not generate a closed set"
-                    )
-        parent = self
-        return FiniteGroup(
-            label or f"{self.label}[{len(members)}]",
-            members,
-            lambda a, b: parent.mul(a, b),
-            members.index(self.identity),
-            repr_elem=lambda a: parent.element_label(a),
-        )
-
-    def generated_subgroup(self, generators) -> list[int]:
-        """Element indices of the subgroup generated by the given indices."""
-        members = {self.identity}
-        self._close(members, [self.identity], list(generators))
-        return sorted(members)
+    # -- generators --
 
     def _close(self, members: set[int], frontier: list[int], gens: list[int]) -> None:
         """Grow `members` by right multiplication with `gens`, from `frontier` on.

@@ -53,13 +53,17 @@ def kappa_decomposed(graph: Graph,
     lies in every block, and no other vertex is a cut vertex, so the blocks
     are u plus each component of the graph without u. A graph with no such
     vertex is one piece. Each piece is counted on its closed-twin class
-    Laplacian, rooted at the class of u (``twin_class_kappa``).
+    Laplacian, rooted at the class of u (``twin_class_kappa``). A universal
+    vertex makes the graph connected, so only a graph without one is searched.
     """
-    _require_connected(graph)
     rows = graph.rows
     n = graph.n
     u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
-    pieces = [list(range(n))] if u is None else [c + [u] for c in graph.components(without=u)]
+    if u is None:
+        _require_connected(graph)
+        pieces = [list(range(n))]
+    else:
+        pieces = [c + [u] for c in graph.components(without=u)]
     result = FactoredInt.one()
     for piece in pieces:
         result = result * FactoredInt.from_int(twin_class_kappa(rows, piece, u), factor_bound)

@@ -1,4 +1,6 @@
 """Claim verifiers and the corpus runner."""
+import hashlib
+
 import pytest
 
 from powertree import (CLAIM_IDS, GroupBundle, build_group, build_power_graph,
@@ -10,6 +12,8 @@ from powertree import (CLAIM_IDS, GroupBundle, build_group, build_power_graph,
                        verify_maximal_prime_divisor, verify_product_bound,
                        verify_simple_order_count)
 from powertree.arith import decimal_short
+from powertree.determinant import twin_class_kappa
+from powertree.treecount import kappa_decomposed
 
 
 def _subgroups_of_order(group, order, limit=None):
@@ -147,6 +151,52 @@ def test_product_bound_claim_validates_input():
         verify_product_bound(z12, [set(range(12))])  # not proper
     with pytest.raises(ValueError):
         verify_product_bound(z12, [{0, 3, 6, 9}, {0, 6}])  # shared involution
+    s3 = build_group("sym:3")
+    rotation = next(g for g in range(6) if s3.order_of(g) == 3)
+    with pytest.raises(ValueError, match="not closed"):
+        verify_product_bound(s3, [{s3.identity, rotation}])
+    with pytest.raises(ValueError, match="identity"):
+        verify_product_bound(s3, [{rotation, s3.inverse(rotation)}])
+
+
+def _closure(group, generators) -> frozenset[int]:
+    members = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        fresh = {group.mul(x, g) for x in frontier for g in generators} - members
+        members |= fresh
+        frontier = list(fresh)
+    return frozenset(members)
+
+
+def _standalone_kappa(spec) -> int:
+    return kappa_decomposed(build_power_graph(build_group(spec))).value
+
+
+@pytest.mark.parametrize("spec", ["dihedral:10", "alt:5", "quaternion:16"])
+def test_kappa_on_a_cyclic_subgroup_of_the_power_graph(spec):
+    # P(H) is P(G) induced on H: the product bound counts kappa(H) on G's rows
+    group = build_group(spec)
+    rows = build_power_graph(group).rows
+    for g in range(group.n):
+        members = _closure(group, [g])
+        assert twin_class_kappa(rows, members, group.identity) == _standalone_kappa(
+            f"cyclic:{len(members)}")
+
+
+def test_kappa_on_a_noncyclic_subgroup_of_the_power_graph():
+    a4 = build_group("alt:4")
+    involutions = [g for g in range(a4.n) if a4.order_of(g) == 2]
+    klein = _closure(a4, involutions)
+    assert len(klein) == 4
+    kappa = twin_class_kappa(build_power_graph(a4).rows, klein, a4.identity)
+    assert kappa == _standalone_kappa("elemabelian:2:2") == 1
+    q16 = build_group("quaternion:16")
+    by_label = {q16.element_label(g): g for g in range(q16.n)}
+    q8 = _closure(q16, [by_label["a2"], by_label["b"]])  # <a^2, b>
+    assert len(q8) == 8
+    kappa = twin_class_kappa(build_power_graph(q16).rows, q8, q16.identity)
+    assert kappa == _standalone_kappa("quaternion:8") == 2 ** 11
 
 
 def test_factorial_cap_claim():
@@ -170,6 +220,16 @@ def test_simple_order_count_claim():
         verify_simple_order_count("sym:4", 2)
     with pytest.raises(ValueError):
         verify_simple_order_count("alt:5", 7)
+
+
+@pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "psl2:8"])
+def test_simple_order_count_matches_brute_force(spec):
+    bundle = GroupBundle(spec)
+    group = bundle.group
+    for p in sorted(group.spectrum().primes):
+        count = sum(1 for g in range(group.n) if group.order_of(g) == p)
+        result = verify_simple_order_count(bundle, p)
+        assert result.witness == f"{count} elements of order {p} (bound {p * p - 1})"
 
 
 def test_result_json_shape():
@@ -266,3 +326,15 @@ def test_full_degree_claim_on_a_det_past_the_str_limit():
     assert row.holds
     assert row.witness.startswith("1849^1849 divides det(J+Q) = ")
     assert row.witness.endswith("(6041 digits)")
+
+
+def test_corpus_claim_rows_are_pinned():
+    # every row of the default corpus at the default cap and factor bound, in order
+    rows = run_verifications(load_manifest())
+    digest = hashlib.sha256()
+    for r in rows:
+        digest.update(repr((r.claim_id, r.group_label, r.holds, r.witness,
+                            r.applicable)).encode())
+    assert len(rows) == 1271
+    assert digest.hexdigest() == (
+        "c9b0135d56d5b3ec011226f3b74420640a3a7d683ca26ad08bfe4565274cdfb3")

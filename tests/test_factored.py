@@ -119,6 +119,13 @@ def test_round_trip_past_the_int_str_limit():
         parse_decimal("1" * 700 + "x")
 
 
+def test_repr_past_the_int_str_limit():
+    big = FactoredInt({}, 10007 ** 1200)  # a 4801-digit cofactor
+    assert repr(big) == f"FactoredInt(factors={{}}, cofactor={decimal_str(10007 ** 1200)})"
+    assert repr(FactoredInt({2: 5, 3: 1}, 10007)) == (
+        "FactoredInt(factors={2: 5, 3: 1}, cofactor=10007)")
+
+
 def test_parse_literals():
     fi = FactoredInt.parse("2^180*3^40*5^108")
     assert fi.factors == {2: 180, 3: 40, 5: 108}
