@@ -30,7 +30,7 @@ from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
 from .treecount import (ENGINES, KappaReport, VertexLimitError, closed_form_psl2,
                         closed_form_quaternion, compute_kappa,
                         kappa_decomposed, kappa_deletion_contraction,
-                        kappa_matrix_tree, kappa_of_group)
+                        kappa_matrix_tree)
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,6 @@ __all__ = [
     "kappa_decomposed",
     "kappa_deletion_contraction",
     "kappa_matrix_tree",
-    "kappa_of_group",
     "load_manifest",
     "ones_plus_laplacian",
     "psl2_group",

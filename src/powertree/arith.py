@@ -48,6 +48,24 @@ def primes_below(limit: int) -> list[int]:
     return [i for i in range(limit) if sieve[i]]
 
 
+def smallest_prime_power_above(value: int, exponent) -> int:
+    """The smallest prime p with p ** exponent(p) > value, for value >= 1.
+
+    With L the bit length of value, 2^(L-1) <= value < 2^L, and with b the
+    bit length of p^64, 2^(b-1) <= p^64 < 2^b. So f(b-1) >= 64L proves
+    p^f > value, and fb <= 64(L-1) proves p^f <= value; the power is
+    multiplied out only between the two.
+    """
+    bits = value.bit_length()
+    for p in iter_primes():
+        f = exponent(p)
+        b = (p ** 64).bit_length()
+        if f * (b - 1) >= 64 * bits:
+            return p
+        if f * b > 64 * (bits - 1) and p ** f > value:
+            return p
+
+
 def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Split off every prime <= bound from n >= 1 by trial division.
 

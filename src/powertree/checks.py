@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_short, euler_phi,
-                    is_prime, iter_primes, prime_power)
+                    is_prime, prime_power, smallest_prime_power_above)
 from .determinant import twin_class_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
@@ -252,12 +252,7 @@ def verify_factorial_cap(source) -> VerificationResult:
     """The smallest prime p with kappa < p^(p-2) bounds the primes of |G|
     by p-1 (they all divide (p-1)!)."""
     bundle = _as_bundle(source)
-    value = bundle.kappa.value
-    cap = None
-    for p in iter_primes():
-        if value < p ** (p - 2):
-            cap = p
-            break
+    cap = smallest_prime_power_above(bundle.kappa.value, lambda p: p - 2)
     primes = sorted(bundle.group.spectrum().primes)
     holds = all(q < cap for q in primes)
     return VerificationResult(

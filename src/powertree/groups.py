@@ -39,6 +39,27 @@ class Spectrum:
     cyclic_counts: dict[int, int]  # order m -> number of distinct cyclic subgroups
 
 
+def _grow(members: set, frontier: list, maps, stop: int | None = None) -> set:
+    """Add the frontier to `members` in place, then its images under `maps`,
+    breadth first, until nothing new appears; return `members`.
+
+    Each image of an old member under `maps` must already be a member or in
+    the frontier. In a finite group the closure of a set containing the
+    identity under right multiplications is the subgroup they generate. With `stop`, the search ends after the
+    first round that leaves more than `stop` members.
+    """
+    while frontier:
+        fresh = []
+        for y in frontier:
+            if y not in members:
+                members.add(y)
+                fresh.append(y)
+        if stop is not None and len(members) > stop:
+            break
+        frontier = [f(x) for x in fresh for f in maps]
+    return members
+
+
 class FiniteGroup:
     """A finite group whose elements are indices 0..n-1.
 
@@ -63,6 +84,7 @@ class FiniteGroup:
         self._repr_elem = repr_elem if repr_elem is not None else str
         self.identity = identity
         self._profiles: dict[int, ElementProfile] = {}
+        self._cyclic_subgroups: dict[ElementProfile, list[int]] | None = None
         self._spectrum: Spectrum | None = None
         self._generators: list[int] | None = None
         self._simple: bool | None = None
@@ -115,11 +137,13 @@ class FiniteGroup:
 
     def cyclic_subgroups(self) -> dict[ElementProfile, list[int]]:
         """Each distinct cyclic subgroup's profile -> its generators, ascending,
-        keyed in order of smallest generator."""
-        out: dict[ElementProfile, list[int]] = {}
-        for g in range(self.n):
-            out.setdefault(self.profile(g), []).append(g)
-        return out
+        keyed in order of smallest generator. Built once and kept."""
+        if self._cyclic_subgroups is None:
+            out: dict[ElementProfile, list[int]] = {}
+            for g in range(self.n):
+                out.setdefault(self.profile(g), []).append(g)
+            self._cyclic_subgroups = out
+        return self._cyclic_subgroups
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
@@ -136,44 +160,23 @@ class FiniteGroup:
 
     # -- generators --
 
-    def _close(self, members: set[int], frontier: list[int], gens: list[int]) -> None:
-        """Grow `members` by right multiplication with `gens`, from `frontier` on.
-
-        Every member outside the frontier must already be closed under `gens`.
-        In a finite group the closure of a set containing the identity is the
-        subgroup it generates.
-        """
-        while frontier:
-            fresh = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in members:
-                        members.add(y)
-                        fresh.append(y)
-            frontier = fresh
-
     def generating_set(self) -> list[int]:
         """Greedy generators: each is the smallest index outside the closure so far.
 
-        The closure grows in place, so each element is multiplied by each
-        generator about once.
+        The closure grows in place: the old members are closed under the old
+        generators, so only the new generator is applied to them, and each
+        element is multiplied by each generator about once.
         """
         if self._generators is None:
             gens: list[int] = []
+            maps = []
             members = {self.identity}
             for g in range(self.n):
                 if g in members:
                     continue
                 gens.append(g)
-                # old members are closed under the old generators: only g is new to them
-                fresh = []
-                for x in members:
-                    y = self.mul(x, g)
-                    if y not in members:
-                        fresh.append(y)
-                members.update(fresh)
-                self._close(members, fresh, gens)
+                maps.append(lambda x, g=g: self.mul(x, g))
+                _grow(members, [self.mul(x, g) for x in members], maps)
             self._generators = gens
         return self._generators
 
@@ -183,9 +186,10 @@ class FiniteGroup:
             self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2)
         )
 
-    def _conjugators(self) -> list[tuple[int, int]]:
-        """(x, x^-1) for each generator x: conjugation by these generates conjugation by G."""
-        return [(x, self.inverse(x)) for x in self.generating_set()]
+    def _conjugators(self) -> list:
+        """h -> x*h*x^-1 for each generator x: these generate conjugation by G."""
+        return [lambda h, x=x, x_inv=self.inverse(x): self.mul(self.mul(x, h), x_inv)
+                for x in self.generating_set()]
 
     def conjugacy_classes(self) -> list[list[int]]:
         """Classes in order of their smallest element, each ascending.
@@ -194,20 +198,13 @@ class FiniteGroup:
         the generating set: 2*|gens| products per element.
         """
         conjugators = self._conjugators()
-        seen = [False] * self.n
+        seen: set[int] = set()
         classes = []
         for g in range(self.n):
-            if seen[g]:
-                continue
-            seen[g] = True
-            cls = [g]
-            for h in cls:  # cls grows while it is scanned
-                for x, x_inv in conjugators:
-                    y = self.mul(self.mul(x, h), x_inv)
-                    if not seen[y]:
-                        seen[y] = True
-                        cls.append(y)
-            classes.append(sorted(cls))
+            if g not in seen:
+                cls = _grow(set(), [g], conjugators)
+                seen |= cls
+                classes.append(sorted(cls))
         return classes
 
     def normal_closure(self, g: int) -> set[int]:
@@ -221,21 +218,9 @@ class FiniteGroup:
         1 + 2*|gens| products, and the search stops once it passes half the
         group: a subgroup of index below 2 is the whole group.
         """
-        conjugators = self._conjugators()
-        members = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            fresh = []
-            for h in frontier:
-                for y in [self.mul(h, g)] + [self.mul(self.mul(x, h), x_inv)
-                                             for x, x_inv in conjugators]:
-                    if y not in members:
-                        members.add(y)
-                        fresh.append(y)
-            if 2 * len(members) > self.n:
-                return set(range(self.n))
-            frontier = fresh
-        return members
+        maps = [lambda h: self.mul(h, g)] + self._conjugators()
+        members = _grow(set(), [self.identity], maps, stop=self.n // 2)
+        return set(range(self.n)) if len(members) > self.n // 2 else members
 
     def is_nonabelian_simple(self) -> bool:
         """True iff the group is nonabelian with no proper nontrivial normal subgroup."""
@@ -466,17 +451,7 @@ def psl2_group(q: int) -> FiniteGroup:
 
     generators = [as_perm(translate), as_perm(scale), as_perm(flip)]
     identity = tuple(range(q + 1))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        fresh = []
-        for s in frontier:
-            for g in generators:
-                t = _compose(s, g)
-                if t not in seen:
-                    seen.add(t)
-                    fresh.append(t)
-        frontier = fresh
+    seen = _grow(set(), [identity], [lambda s, g=g: _compose(s, g) for g in generators])
     if len(seen) != expected:
         raise RuntimeError(
             f"psl2:{q} closure has {len(seen)} elements, expected {expected}"

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import FactoredInt, euler_phi, iter_primes, prime_factors, primes_below
+from .arith import (FactoredInt, euler_phi, prime_factors, primes_below,
+                    smallest_prime_power_above)
 
 SUCCESS_VERDICT = "A6 (unique in class S)"
 
@@ -82,24 +83,16 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
         return RecognitionResult(tuple(steps), verdict)
 
     # 1: an abelian simple group is cyclic of prime order, with count p^(p-2)
-    hit = None
-    scanned = 2
-    for p in iter_primes():
-        power = p ** (p - 2)
-        if power > value:
-            break
-        scanned = p
-        if power == value:
-            hit = p
-            break
-    if hit is not None:
+    # p^(p-2) grows with p, so only the prime below the first one past kappa can match
+    scanned = primes_below(smallest_prime_power_above(value, lambda p: p - 2))[-1]
+    if scanned ** (scanned - 2) == value:
         steps.append(RecognitionStep(
             1, "abelian-scan",
-            f"kappa = {kappa} equals {hit}^{hit - 2}, the tree count of the "
-            f"cyclic group of order {hit}",
-            {"prime": hit},
+            f"kappa = {kappa} equals {scanned}^{scanned - 2}, the tree count of the "
+            f"cyclic group of order {scanned}",
+            {"prime": scanned},
         ))
-        return done(f"not kappa(A6): matches kappa of the cyclic group of order {hit}")
+        return done(f"not kappa(A6): matches kappa of the cyclic group of order {scanned}")
     steps.append(RecognitionStep(
         1, "abelian-scan",
         f"kappa = {kappa} is not p^(p-2) for any prime p <= {scanned}; "
@@ -109,11 +102,7 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
 
     # 2: each prime p dividing the order brings p+1 cyclic subgroups of
     # order p, so kappa > p^((p-2)(p+1)); primes violating that are barred
-    cap = None
-    for p in iter_primes():
-        if p ** ((p - 2) * (p + 1)) > value:
-            cap = p
-            break
+    cap = smallest_prime_power_above(value, lambda p: (p - 2) * (p + 1))
     steps.append(RecognitionStep(
         2, "prime-cap",
         f"{cap}^{(cap - 2) * (cap + 1)} exceeds kappa, so every prime "
@@ -122,8 +111,7 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
     ))
 
     # 3: a prime r in mu(G) forces r^(r-2) | kappa
-    excluded = [r for r in primes_below(cap)
-                if value % r ** (r - 2) != 0]
+    excluded = [r for r in primes_below(cap) if kappa.valuation(r) < r - 2]
     steps.append(RecognitionStep(
         3, "maximal-order-exclusions",
         (f"maximal element orders cannot include {excluded}: r^(r-2) does "

@@ -73,7 +73,11 @@ def kappa_decomposed(graph: Graph,
 def _multigraph_tree_count(vertices: frozenset[int],
                            edges: frozenset[tuple[int, int, int]],
                            memo: dict) -> int:
-    """Deletion-contraction on a multigraph given as (u, v, multiplicity) classes."""
+    """Deletion-contraction on a multigraph given as (u, v, multiplicity) classes.
+
+    Deleting a bridge leaves a disconnected graph, which counts 0, so the
+    recurrence needs no bridge search.
+    """
     if len(vertices) <= 1:
         return 1
     if not edges:
@@ -101,12 +105,6 @@ def _multigraph_tree_count(vertices: frozenset[int],
     if len(seen) != len(vertices):
         memo[key] = 0
         return 0
-    # cut edges are forced: contract them without branching
-    bridge = _find_bridge(vertices, adjacency, edges)
-    if bridge is not None:
-        result = _multigraph_tree_count(*_contract(vertices, edges, bridge), memo)
-        memo[key] = result
-        return result
     u, v, mult = min(edges)
     deleted = frozenset(e for e in edges if e != (u, v, mult))
     if mult > 1:
@@ -116,44 +114,6 @@ def _multigraph_tree_count(vertices: frozenset[int],
     )
     memo[key] = result
     return result
-
-
-def _find_bridge(vertices, adjacency, edges):
-    multiplicity = {}
-    for u, v, m in edges:
-        multiplicity[(u, v)] = m
-    order = {}
-    low = {}
-    timer = [0]
-    result = []
-    start = next(iter(vertices))
-    stack = [(start, None, iter(adjacency[start]))]
-    order[start] = low[start] = 0
-    timer[0] = 1
-    while stack:
-        v, parent, it = stack[-1]
-        w = next(it, None)
-        if w is None:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] > order[u]:
-                    pair = (u, v) if u < v else (v, u)
-                    if multiplicity[pair] == 1:
-                        result.append(pair + (1,))
-            continue
-        if w == parent:
-            continue
-        if w in order:
-            if order[w] < low[v]:
-                low[v] = order[w]
-        else:
-            order[w] = low[w] = timer[0]
-            timer[0] += 1
-            stack.append((w, v, iter(adjacency[w])))
-    return result[0] if result else None
 
 
 def _contract(vertices, edges, edge):
@@ -174,12 +134,13 @@ def _contract(vertices, edges, edge):
     return new_vertices, new_edges
 
 
-def kappa_deletion_contraction(graph: Graph, vertex_limit: int = DC_VERTEX_LIMIT,
+def kappa_deletion_contraction(graph: Graph,
                                factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count by the deletion-contraction recurrence (small graphs only)."""
-    if graph.n > vertex_limit:
+    """Spanning-tree count by the deletion-contraction recurrence, limited to
+    DC_VERTEX_LIMIT vertices."""
+    if graph.n > DC_VERTEX_LIMIT:
         raise VertexLimitError(
-            f"deletion-contraction is limited to {vertex_limit} vertices, got {graph.n}"
+            f"deletion-contraction is limited to {DC_VERTEX_LIMIT} vertices, got {graph.n}"
         )
     _require_connected(graph)
     vertices = frozenset(range(graph.n))
@@ -216,15 +177,10 @@ def compute_kappa(graph: Graph, engine: str = "auto",
     elif engine == "matrix_tree":
         value = kappa_matrix_tree(graph, factor_bound)
     elif engine == "deletion_contraction":
-        value = kappa_deletion_contraction(graph, factor_bound=factor_bound)
+        value = kappa_deletion_contraction(graph, factor_bound)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return KappaReport(value, engine, cross_checked, time.perf_counter() - start)
-
-
-def kappa_of_group(group, engine: str = "auto",
-                   factor_bound: int = DEFAULT_FACTOR_BOUND) -> KappaReport:
-    return compute_kappa(build_power_graph(group), engine, factor_bound)
 
 
 # -- closed forms --

@@ -7,7 +7,8 @@ import sympy
 from powertree import FactoredInt
 from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
                              iter_primes, parse_decimal, prime_factors,
-                             prime_power, primes_below, valuation)
+                             prime_power, primes_below,
+                             smallest_prime_power_above, valuation)
 
 
 def test_is_prime_matches_sympy_below_2000():
@@ -26,6 +27,21 @@ def test_primes_below():
 def test_iter_primes_prefix():
     it = iter_primes()
     assert [next(it) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("exponent", [lambda p: p - 2, lambda p: (p - 2) * (p + 1)])
+def test_smallest_prime_power_above_at_the_boundaries(exponent):
+    def first_above(value):  # every power multiplied out
+        p = 2
+        while p ** exponent(p) <= value:
+            p = sympy.nextprime(p)
+        return p
+
+    for q in sympy.primerange(2, 60):
+        power = q ** exponent(q)
+        for value in (power - 1, power, power + 1, 2 * power):
+            if value >= 1:
+                assert smallest_prime_power_above(value, exponent) == first_above(value)
 
 
 def test_prime_factors_reassemble():

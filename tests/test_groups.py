@@ -121,6 +121,7 @@ def test_cyclic_subgroups_partition_the_generators(spec):
     counts = group.spectrum().cyclic_counts
     assert sum(c * euler_phi(m) for m, c in counts.items()) == group.n
     subgroups = group.cyclic_subgroups()
+    assert group.cyclic_subgroups() is subgroups  # built once and kept
     smallest = [generators[0] for generators in subgroups.values()]
     assert smallest == sorted(smallest)
     for prof, generators in subgroups.items():

@@ -1,5 +1,6 @@
 """The tree-count recognition pipeline for the alternating group of degree six."""
 import pytest
+import sympy
 
 from powertree import (SUCCESS_VERDICT, FactoredInt, SimpleGroupFact,
                        recognize)
@@ -85,3 +86,39 @@ def test_requires_a_complete_factorization():
 def test_candidate_facts_validate_their_orders():
     with pytest.raises(ValueError):
         SimpleGroupFact("bogus", 100, {2: 2, 5: 1}, frozenset({2}))
+
+
+def _scan_by_powers(value):
+    """Steps 1-3 of the recognition with every power multiplied out."""
+    p = scanned = 2
+    while p ** (p - 2) <= value:
+        scanned = p
+        if p ** (p - 2) == value:
+            return [{"prime": p}]
+        p = sympy.nextprime(p)
+    cap = 2
+    while cap ** ((cap - 2) * (cap + 1)) <= value:
+        cap = sympy.nextprime(cap)
+    excluded = [r for r in sympy.primerange(2, cap) if value % r ** (r - 2)]
+    return [{"highest_prime_scanned": scanned}, {"cap": cap}, {"excluded": excluded}]
+
+
+@pytest.mark.parametrize("text", ["2^20000", "3^5000*5^7", "1009^1007", "1013^1007",
+                                  A6_COUNT, "1"])
+def test_large_counts_scan_by_exponents(text):
+    kappa = FactoredInt.parse(text)
+    expected = _scan_by_powers(kappa.value)
+    assert [s.data for s in recognize(kappa).steps[:len(expected)]] == expected
+
+
+def test_huge_power_of_two_finishes():
+    value = 2 ** 1_000_000
+    steps = recognize(FactoredInt.parse("2^1000000")).steps
+    scanned = steps[0].data["highest_prime_scanned"]
+    assert scanned ** (scanned - 2) < value
+    above = sympy.nextprime(scanned)
+    assert above ** (above - 2) > value
+    cap = steps[1].data["cap"]
+    below = sympy.prevprime(cap)
+    assert below ** ((below - 2) * (below + 1)) <= value < cap ** ((cap - 2) * (cap + 1))
+    assert steps[2].data["excluded"] == list(sympy.primerange(3, cap))

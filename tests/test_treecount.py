@@ -17,7 +17,7 @@ from powertree import (DEFAULT_FACTOR_BOUND, ENGINES, FactoredInt, Graph, GroupB
                        VertexLimitError, build_group, build_power_graph,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
                        det_bareiss, kappa_decomposed, kappa_deletion_contraction,
-                       kappa_matrix_tree, kappa_of_group, ones_plus_laplacian,
+                       kappa_matrix_tree, ones_plus_laplacian,
                        treecount)
 from powertree.determinant import twin_class_kappa
 
@@ -53,6 +53,8 @@ def test_small_group_counts(spec, expected):
     graph = _power_graph(spec)
     assert kappa_matrix_tree(graph).value == expected
     assert kappa_decomposed(graph).value == expected
+    if graph.n <= 12:  # dihedral:8's reflections hang off the identity by bridges
+        assert kappa_deletion_contraction(graph).value == expected
 
 
 def test_factored_presentation():
@@ -139,10 +141,11 @@ def test_disconnected_graphs_rejected():
 
 
 def test_deletion_contraction_size_limit():
-    path = Graph.from_edges(13, [(i, i + 1) for i in range(12)])
-    with pytest.raises(ValueError):
-        kappa_deletion_contraction(path)
-    assert kappa_deletion_contraction(path, vertex_limit=13).value == 1
+    n = treecount.DC_VERTEX_LIMIT
+    with pytest.raises(VertexLimitError):
+        kappa_deletion_contraction(Graph.from_edges(n + 1, [(i, i + 1) for i in range(n)]))
+    path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    assert kappa_deletion_contraction(path).value == 1
 
 
 def test_matrix_tree_size_limit():
@@ -165,16 +168,12 @@ def test_engine_selection_and_reports():
         report = compute_kappa(graph, engine)
         assert report.kappa.value == 540
         assert report.engine == engine
+    assert compute_kappa(_power_graph("cyclic:12")).kappa.value == 7823278080
     big = _power_graph("sym:5")
     assert not compute_kappa(big).cross_checked
     for removed in ("bogus", "crt", "decomposition"):
         with pytest.raises(ValueError):
             compute_kappa(graph, removed)
-
-
-def test_kappa_of_group_wrapper():
-    report = kappa_of_group(build_group("cyclic:12"))
-    assert report.kappa.value == 7823278080
 
 
 def test_alternating_five_count():
