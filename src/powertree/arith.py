@@ -66,7 +66,7 @@ def smallest_prime_power_above(value: int, exponent) -> int:
             return p
 
 
-def _trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Split off every prime <= bound from n >= 1 by trial division.
 
     Returns the exponents found and the cofactor, which no prime <= bound divides.
@@ -92,7 +92,7 @@ def prime_factors(n: int) -> dict[int, int]:
     """Complete factorization of n >= 1 by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor non-positive integer {n}")
-    return _trial_divide(n, n)[0]
+    return trial_divide(n, n)[0]
 
 
 def euler_phi(n: int) -> int:
@@ -175,7 +175,8 @@ class FactoredInt:
     Primes up to the construction bound are split into ``factors``; whatever
     remains (coprime to every prime below the bound) sits in ``cofactor``.
     Products and powers add and scale exponents; ``value`` multiplies the
-    factorization out once, the first time it is read.
+    factorization out once, the first time it is read. The one non-positive
+    value is ``zero()``, the tree count of a disconnected graph.
     """
 
     factors: dict[int, int] = field(default_factory=dict)
@@ -200,11 +201,31 @@ class FactoredInt:
         return cls()
 
     @classmethod
+    def product(cls, items) -> FactoredInt:
+        """The product of an iterable of factored integers, merged in one pass."""
+        factors: dict[int, int] = {}
+        cofactor = 1
+        for item in items:
+            for p, e in item.factors.items():
+                factors[p] = factors.get(p, 0) + e
+            cofactor *= item.cofactor
+        return cls(factors, cofactor) if cofactor else cls.zero()
+
+    @classmethod
+    def zero(cls) -> FactoredInt:
+        """Zero, held as cofactor 0: the constructor refuses it, so that no
+        factorization comes out zero by mistake."""
+        zero = object.__new__(cls)
+        object.__setattr__(zero, "factors", {})
+        object.__setattr__(zero, "cofactor", 0)
+        return zero
+
+    @classmethod
     def from_int(cls, value: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
         """Factor out every prime <= bound by trial division."""
         if value < 1:
             raise ValueError(f"cannot factor non-positive integer {value}")
-        return cls(*_trial_divide(value, bound))
+        return cls(*trial_divide(value, bound))
 
     @classmethod
     def parse(cls, text: str, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
@@ -280,16 +301,15 @@ class FactoredInt:
     def __mul__(self, other: FactoredInt) -> FactoredInt:
         if not isinstance(other, FactoredInt):
             return NotImplemented
-        merged = dict(self.factors)
-        for p, e in other.factors.items():
-            merged[p] = merged.get(p, 0) + e
-        return FactoredInt(merged, self.cofactor * other.cofactor)
+        return FactoredInt.product((self, other))
 
     def __pow__(self, exponent: int) -> FactoredInt:
         if exponent < 0:
             raise ValueError("negative powers leave the integers")
         if exponent == 0:
             return FactoredInt.one()
+        if exponent == 1 or not self.cofactor:
+            return self
         return FactoredInt({p: e * exponent for p, e in self.factors.items()},
                            self.cofactor ** exponent)
 

@@ -81,10 +81,12 @@ class GroupBundle:
     def det_jq(self) -> int:
         """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
         rooted at a class of smallest closed degree: a different elimination
-        from the one ``kappa`` runs on each piece through the identity."""
+        from the one ``kappa`` runs on each piece through the identity. The count
+        is read as an integer, at a factor bound of 1: nothing is trial-divided."""
         if self._det_jq is None:
             n = self.graph.n
-            self._det_jq = n * n * twin_class_kappa(self.graph.rows, range(n))
+            count = twin_class_kappa(self.graph.rows, range(n), factor_bound=1)
+            self._det_jq = n * n * count.value
         return self._det_jq
 
     @property
@@ -238,7 +240,8 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
                 raise ValueError("subgroup intersections must be trivial")
     product = 1
     for members in member_sets:
-        product *= twin_class_kappa(bundle.graph.rows, members, group.identity)
+        product *= twin_class_kappa(bundle.graph.rows, members, group.identity,
+                                    factor_bound=1).value
     kappa = bundle.kappa
     holds = kappa.value > product
     return VerificationResult(

@@ -5,6 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, trial_divide
+
 
 class ExactnessError(ArithmeticError):
     """An exact-arithmetic invariant failed: an inexact division, or two
@@ -145,7 +147,8 @@ def det_min_degree(diag, off) -> int:
     return det.numerator
 
 
-def twin_class_kappa(rows, vertices, root=None) -> int:
+def twin_class_kappa(rows, vertices, root=None,
+                     factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count of the subgraph induced on `vertices`, from bitset adjacency rows.
 
     Vertices with equal closed neighbourhoods (closed twins) form classes C_i,
@@ -164,7 +167,17 @@ def twin_class_kappa(rows, vertices, root=None) -> int:
     sparse as the class graph, and det(L') = det(S L') / prod_{i != 0} s_i.
     The root class is that of the vertex `root`, or else the first class of
     smallest closed degree. In a power graph the generators of one cyclic
-    subgroup are closed twins. A disconnected subgraph has no spanning tree.
+    subgroup are closed twins. A disconnected subgraph has no spanning tree,
+    and its count is `FactoredInt.zero()`.
+
+    The count comes back factored under `factor_bound`, and only det(L') is
+    trial-divided whole: each distinct closed degree k is factored once and
+    its exponents scaled by the sum of s_i - 1 over its classes, and s_0 is
+    divided out on the exponents. Primes above the bound, closed degrees above
+    it included, are multiplied into the cofactor, and s_0's part above the
+    bound is divided out of it. At a bound of 1 nothing is trial-divided and
+    the cofactor is the whole count. A complete graph is one class, and its
+    count s^(s - 2) (Cayley) takes one factorization, that of s.
 
     A det(L') that is not an integer, or a product not divisible by s_0,
     raises ExactnessError.
@@ -183,20 +196,49 @@ def twin_class_kappa(rows, vertices, root=None) -> int:
             classes[key] = [1, v]
         else:
             entry[0] += 1
-    product = 1
+    if len(classes) == 1:  # a complete graph K_s: Cayley's s^(s - 2), and 1 for K_1
+        s = len(vertices)
+        return FactoredInt.from_int(s, factor_bound) ** max(s - 2, 0)
+    exponents: dict[int, int] = {}  # closed degree k -> sum of s_i - 1 over its classes
     for key, (size, _) in classes.items():
-        product *= key.bit_count() ** (size - 1)
+        if size > 1:
+            k = key.bit_count()
+            exponents[k] = exponents.get(k, 0) + size - 1
     if root is None:
         root_key = min(classes, key=int.bit_count)
     else:
         root_key = rows[root] & mask | 1 << root
     root_size = classes.pop(root_key)[0]
-    det = _det_class_laplacian(classes) if classes else 1  # one class: a complete graph
-    count, rem = divmod(product * det, root_size)
-    if rem:
-        raise ExactnessError(f"prod k_i^(s_i - 1) * det(L') is not divisible by the root "
-                             f"class size {root_size}")
-    return count
+    det = _det_class_laplacian(classes)
+    if not det:
+        return FactoredInt.zero()
+    count = FactoredInt.from_int(det, factor_bound)
+    factors, cofactor = dict(count.factors), count.cofactor
+    for k, e in exponents.items():
+        small, large = trial_divide(k, factor_bound)
+        for p, f in small.items():
+            factors[p] = factors.get(p, 0) + f * e
+        if large > 1:
+            cofactor *= large ** e
+    small, large = trial_divide(root_size, factor_bound)
+    for p, f in small.items():
+        left = factors.get(p, 0) - f
+        if left < 0:
+            raise ExactnessError(_root_size_message(root_size))
+        if left:
+            factors[p] = left
+        else:
+            del factors[p]
+    if large > 1:
+        cofactor, rem = divmod(cofactor, large)
+        if rem:
+            raise ExactnessError(_root_size_message(root_size))
+    return FactoredInt(factors, cofactor)
+
+
+def _root_size_message(root_size: int) -> str:
+    return (f"prod k_i^(s_i - 1) * det(L') is not divisible by the root class size "
+            f"{root_size}")
 
 
 def _det_class_laplacian(classes) -> int:

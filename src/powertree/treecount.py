@@ -55,6 +55,9 @@ def kappa_decomposed(graph: Graph,
     vertex is one piece. Each piece is counted on its closed-twin class
     Laplacian, rooted at the class of u (``twin_class_kappa``). A universal
     vertex makes the graph connected, so only a graph without one is searched.
+    Each piece comes back factored under `factor_bound`, with the root class
+    size divided out on its exponents, and the pieces multiply as factored
+    integers: only each piece's det(L') is trial-divided.
     """
     rows = graph.rows
     n = graph.n
@@ -64,10 +67,8 @@ def kappa_decomposed(graph: Graph,
         pieces = [list(range(n))]
     else:
         pieces = [c + [u] for c in graph.components(without=u)]
-    result = FactoredInt.one()
-    for piece in pieces:
-        result = result * FactoredInt.from_int(twin_class_kappa(rows, piece, u), factor_bound)
-    return result
+    return FactoredInt.product(twin_class_kappa(rows, piece, u, factor_bound)
+                               for piece in pieces)
 
 
 def _multigraph_tree_count(vertices: frozenset[int],

@@ -176,8 +176,23 @@ def test_multiplication_and_powers():
     assert (a * b).factors == {2: 3, 3: 1, 5: 1}
     assert (a ** 3).value == 12 ** 3
     assert (a ** 0).value == 1
+    assert (a ** 1).value == 12
     with pytest.raises(ValueError):
         a ** -1
+    product = FactoredInt.product([a, b, FactoredInt.from_int(7 * 10007, bound=100)])
+    assert (product.factors, product.cofactor) == ({2: 3, 3: 1, 5: 1, 7: 1}, 10007)
+    assert FactoredInt.product([]) == 1
+
+
+def test_zero_is_the_count_of_a_disconnected_graph():
+    zero = FactoredInt.zero()
+    assert zero.value == 0 and str(zero) == "0" and not zero.fully_factored
+    a = FactoredInt.from_int(12)
+    assert (a * zero).value == (zero * a).value == (zero ** 3).value == 0
+    assert (zero ** 0).value == 1
+    assert FactoredInt.product([a, zero, a]).value == 0
+    with pytest.raises(ValueError):
+        zero.valuation(2)
 
 
 def test_arithmetic_leaves_the_value_unmultiplied():

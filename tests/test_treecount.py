@@ -17,8 +17,8 @@ from powertree import (DEFAULT_FACTOR_BOUND, ENGINES, FactoredInt, Graph, GroupB
                        VertexLimitError, build_group, build_power_graph,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
                        det_bareiss, kappa_decomposed, kappa_deletion_contraction,
-                       kappa_matrix_tree, ones_plus_laplacian,
-                       treecount)
+                       kappa_matrix_tree, load_manifest, ones_plus_laplacian,
+                       spec_order, treecount)
 from powertree.determinant import twin_class_kappa
 
 CYCLIC_COUNTS = {
@@ -72,7 +72,7 @@ def test_engines_agree(spec):
     graph = _power_graph(spec)
     matrix = ones_plus_laplacian(graph)
     det = det_bareiss(matrix)
-    assert graph.n ** 2 * twin_class_kappa(graph.rows, range(graph.n)) == det
+    assert graph.n ** 2 * twin_class_kappa(graph.rows, range(graph.n)).value == det
     count = kappa_matrix_tree(graph).value
     assert det == graph.n ** 2 * count
     assert kappa_decomposed(graph).value == count
@@ -285,7 +285,7 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
     product = 1
     for component in graph.components(without=u):
         piece = component + [u]
-        product *= twin_class_kappa(graph.rows, piece, u)
+        product *= twin_class_kappa(graph.rows, piece, u).value
     assert product == whole
     assert kappa_decomposed(graph).value == whole
 
@@ -299,6 +299,31 @@ def test_kappa_is_invariant_under_relabelling(graph, rng):
     expected = kappa_matrix_tree(graph).value
     assert kappa_decomposed(relabelled).value == expected
     assert compute_kappa(relabelled).kappa.value == expected
+
+
+# the benchmark's graph-bound groups, where every piece through the identity is complete
+GRAPH_BOUND_SPECS = ("cyclic:1024", "cyclic:1331", "cyclic:1849", "elemabelian:2:10",
+                     "elemabelian:3:6", "elemabelian:11:3", "elemabelian:43:2")
+
+
+def test_factored_kernel_matches_trial_division_of_the_whole_count():
+    # the kernel factors each closed degree and det(L') apart and divides s_0 out
+    # on the exponents; that must split every count exactly as trial division of
+    # the multiplied-out count does, primes above the bound in the cofactor
+    specs = GRAPH_BOUND_SPECS + ("cyclic:1920", "quaternion:256", "sym:6", "alt:6 x cyclic:2")
+    specs += tuple(s for s in load_manifest() if spec_order(s) <= 64)
+    for spec in specs:
+        graph = _power_graph(spec)
+        value = kappa_decomposed(graph).value
+        for bound in (2, 3, 100, 10_000):
+            kappa = kappa_decomposed(graph, bound)
+            expected = FactoredInt.from_int(value, bound)
+            assert (kappa.factors, kappa.cofactor) == (expected.factors, expected.cofactor), \
+                (spec, bound)
+    # cyclic:1849 is complete, one class of closed degree 43^2 above the bound
+    kappa = kappa_decomposed(_power_graph("cyclic:1849"), 2)
+    assert kappa.factors == {}
+    assert kappa.cofactor == 1849 ** 1847
 
 
 def test_groups_at_the_order_cap_finish():
@@ -343,6 +368,10 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     determinant.det_min_degree = lambda diag, off: 1
     print("class-laplacian", raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0)))
+    # the same at a factor bound of 1, where the root class size 2 is divided
+    # out of the cofactor instead of the exponents
+    print("class-laplacian-cofactor",
+          raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0, factor_bound=1)))
     # a determinant that is not divisible by n^2
     treecount.det_bareiss = lambda matrix: 1
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
@@ -356,7 +385,7 @@ def test_exactness_checks_survive_python_optimisation():
                           env={"PYTHONPATH": str(source)})
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["cross-check", "True", "class-laplacian", "True",
-                                   "matrix-tree", "True"]
+                                   "class-laplacian-cofactor", "True", "matrix-tree", "True"]
 
 
 def test_counting_does_not_import_numpy():
