@@ -2,8 +2,8 @@
 spanning-tree counts through the sparse Laplacian of the closed-twin classes."""
 from __future__ import annotations
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, trial_divide
 
@@ -113,38 +113,61 @@ def det_min_degree(diag, off) -> int:
 
     Pivots are taken on the diagonal in a greedy minimum-degree order (George &
     Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981),
-    in exact `Fraction` arithmetic with no row swaps, updating each symmetric
-    pair of entries once. A zero pivot means a singular leading block, which
-    in a semidefinite matrix makes the whole matrix singular: the determinant
-    is 0. A determinant that comes out non-integral raises ExactnessError.
+    with no row swaps, updating each symmetric pair of entries once. Each
+    entry is held as a (numerator, denominator) pair of ints with a positive
+    denominator, reduced by `math.gcd` after every update; an input entry is
+    read through its `numerator` and `denominator`. The determinant is held
+    as two running products, of the pivots' numerators and of their
+    denominators. A zero pivot means a singular leading block, which in a
+    semidefinite matrix makes the whole matrix singular: the determinant is 0.
+    Otherwise the two products are divided once at the end, and a remainder,
+    a determinant that is not an integer, raises ExactnessError.
     """
+    for i, a in enumerate(diag):
+        diag[i] = (a.numerator, a.denominator)
+    for row in off:
+        for j, a in row.items():
+            row[j] = (a.numerator, a.denominator)
     heap = [(len(row), i) for i, row in enumerate(off)]
     heapify(heap)
     done = [False] * len(diag)
-    det = Fraction(1)
+    num = den = 1
     while heap:
         degree, k = heappop(heap)
         if done[k] or degree != len(off[k]):
             continue  # a stale entry: k was eliminated, or its degree changed
         done[k] = True
-        pivot = diag[k]
-        if not pivot:
+        p, q = diag[k]
+        if not p:
             return 0
-        det *= pivot
+        num *= p
+        den *= q
         column = list(off[k].items())
         for i, _ in column:
             del off[i][k]
-        for x, (i, a_ik) in enumerate(column):
+        for x, (i, (a, b)) in enumerate(column):
+            fn, fd = a * q, b * p  # the factor a_ik / pivot
+            if fd < 0:
+                fn, fd = -fn, -fd
+            g = gcd(fn, fd)
+            fn //= g
+            fd //= g
             row_i = off[i]
-            factor = Fraction(a_ik) / pivot
-            diag[i] -= factor * a_ik
-            for j, a_jk in column[x + 1:]:
-                row_i[j] = off[j][i] = row_i.get(j, 0) - factor * a_jk
+            row_i[i] = diag[i]  # so that j == i updates the diagonal entry
+            for j, (y, v) in column[x:]:
+                n, d = row_i.get(j, (0, 1))
+                e = fd * v
+                n = n * e - d * fn * y  # a_ij - factor * a_jk
+                d *= e
+                g = gcd(n, d)
+                row_i[j] = off[j][i] = (n // g, d // g)
+            diag[i] = row_i.pop(i)
         for i, _ in column:
             heappush(heap, (len(off[i]), i))
-    if det.denominator != 1:
+    det, rem = divmod(num, den)
+    if rem:
         raise ExactnessError("the determinant of an integer matrix is not an integer")
-    return det.numerator
+    return det
 
 
 def twin_class_kappa(rows, vertices, root=None,

@@ -1,9 +1,13 @@
 """Claim verifiers and the corpus runner."""
 import hashlib
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powertree import (CLAIM_IDS, GroupBundle, build_group, build_power_graph,
+from powertree import (CLAIM_IDS, DEFAULT_ORDER_CAP, GroupBundle, GroupSpecError,
+                       OrderCapError, build_group, build_power_graph,
                        det_bareiss, load_manifest, ones_plus_laplacian,
                        run_verifications, verify_clique_components,
                        verify_component_count, verify_element_degree_divisor,
@@ -306,6 +310,61 @@ NEAR_CAP_SPECS = ("sym:6 x cyclic:2", "psl2:11 x cyclic:3", "quaternion:32 x dih
 @pytest.mark.parametrize("spec", NEAR_CAP_SPECS)
 def test_specs_near_the_order_cap_finish(spec):
     bundle = GroupBundle(spec)
+    assert bundle.det_jq == bundle.group.n ** 2 * bundle.kappa.value
+    rows = run_verifications([spec])
+    assert rows
+    assert [r for r in rows if not r.holds] == []
+
+
+# one-parameter families: (valid parameters, malformed ones, the order), the
+# orders written out here rather than read from spec_order
+_ATOM_FAMILIES = {
+    "cyclic": (st.integers(1, 60), st.just(0), lambda n: n),
+    "dihedral": (st.integers(1, 30).map(lambda h: 2 * h), st.sampled_from((0, 1, 15)),
+                 lambda n: n),
+    "quaternion": (st.integers(2, 16).map(lambda h: 4 * h), st.sampled_from((4, 6, 10)),
+                   lambda n: n),
+    "sym": (st.integers(1, 6), st.just(0), math.factorial),
+    "alt": (st.integers(1, 6), st.just(0), lambda n: max(math.factorial(n) // 2, 1)),
+    "psl2": (st.sampled_from((2, 3, 4, 5, 7, 8, 9, 11, 13)), st.sampled_from((1, 6, 10, 12)),
+             lambda q: q * (q * q - 1) // math.gcd(2, q - 1)),
+}
+
+
+@st.composite
+def spec_atoms(draw):
+    """An atom of the spec grammar and its order, None for a malformed parameter
+    (about one atom in ten)."""
+    family = draw(st.sampled_from(sorted(_ATOM_FAMILIES) + ["elemabelian"]))
+    malformed = draw(st.integers(0, 9)) == 0
+    if family == "elemabelian":
+        if malformed:
+            p, k = draw(st.sampled_from(((1, 2), (4, 2), (6, 1), (3, 0))))
+            return f"elemabelian:{p}:{k}", None
+        p, k = draw(st.sampled_from((2, 3, 5, 7))), draw(st.integers(1, 4))
+        return f"elemabelian:{p}:{k}", p ** k
+    valid, bad, order = _ATOM_FAMILIES[family]
+    if malformed:
+        return f"{family}:{draw(bad)}", None
+    param = draw(valid)
+    return f"{family}:{param}", order(param)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(spec_atoms(), min_size=1, max_size=3))
+def test_every_accepted_spec_finishes_with_its_claims_holding(atoms):
+    spec = " x ".join(atom for atom, _ in atoms)
+    orders = [order for _, order in atoms]
+    if None in orders:
+        with pytest.raises(GroupSpecError):
+            build_group(spec)
+        return
+    if math.prod(orders) > DEFAULT_ORDER_CAP:
+        with pytest.raises(OrderCapError):
+            build_group(spec)
+        return
+    bundle = GroupBundle(spec)
+    assert bundle.group.n == math.prod(orders)
     assert bundle.det_jq == bundle.group.n ** 2 * bundle.kappa.value
     rows = run_verifications([spec])
     assert rows

@@ -139,6 +139,33 @@ def test_min_degree_elimination_matches_sympy():
     assert singular  # the zero-pivot exit ran
 
 
+def _weighted_gram(rng, n, rank):
+    """B^T B for a random integer B with `rank` rows of 2-4 nonzero entries up to 700
+    in size: sparse, entries up to a few 10^6, and singular when B misses a column
+    or rank < n. Most pivots of its elimination are not integers."""
+    b = []
+    for _ in range(rank):
+        row = [0] * n
+        for j in rng.sample(range(n), min(n, rng.randrange(2, 5))):
+            row[j] = rng.choice((-1, 1)) * rng.randint(1, 700)
+        b.append(row)
+    return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
+
+
+def test_min_degree_elimination_matches_bareiss_on_large_entries():
+    rng = random.Random(47)
+    singular = 0
+    for _ in range(40):
+        n = rng.randrange(1, 41)
+        matrix = _weighted_gram(rng, n, rng.randrange(max(n - 1, 1), 2 * n + 1))
+        expected = det_bareiss(matrix)
+        singular += expected == 0
+        result = det_min_degree(*_sparse(matrix))
+        assert type(result) is int
+        assert result == expected
+    assert 0 < singular < 40
+
+
 def test_ones_plus_laplacian_entries():
     graph = build_power_graph(build_group("cyclic:6"))
     matrix = ones_plus_laplacian(graph)
