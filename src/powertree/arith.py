@@ -260,16 +260,16 @@ class FactoredInt:
                         raise ValueError(f"cofactor token {token!r} must come last")
                     if p < 2:
                         raise ValueError(f"malformed cofactor token {token!r}")
-                    if any(p % q == 0 for q in primes_below(bound + 1)):
+                    if trial_divide(p, bound)[0]:
                         raise ValueError(
                             f"cofactor token {token!r} has a prime factor below {bound}"
                         )
                     cofactor = p
                     continue
+            if p > bound:  # before is_prime, which trial-divides up to sqrt(p)
+                raise ValueError(f"base of token {token!r} exceeds the factor bound {bound}")
             if not is_prime(p):
                 raise ValueError(f"token {token!r} is not prime")
-            if p > bound:
-                raise ValueError(f"prime {p} exceeds the factor bound {bound}")
             if p <= previous:
                 raise ValueError(f"primes must be strictly ascending at token {token!r}")
             factors[p] = e

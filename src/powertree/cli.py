@@ -176,7 +176,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         status = _COMMANDS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"powertree: error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -34,75 +34,33 @@ def _check_square(matrix) -> int:
 
 
 def det_bareiss(matrix) -> int:
-    """Exact determinant by fraction-free two-step elimination.
-
-    Entries stay integral throughout: a double elimination step divides a 3x3
-    minor by the square of the previous pivot (a 2x2 minor by the pivot itself
-    when only one column is left, or when the 2x2 leading minor vanishes).
-    Every division is checked exact; a remainder raises ExactnessError.
-    """
+    """Exact determinant by one-step fraction-free elimination (Bareiss, 1968):
+    each update is a 2x2 minor with the pivot divided by the previous pivot,
+    which stays integral; a remainder raises ExactnessError."""
     n = _check_square(matrix)
     if n == 0:
         return 1
     a = [[int(x) for x in row] for row in matrix]
     sign = 1
     prev = 1
-    k = 0
-    while k < n - 1:
+    for k in range(n - 1):
         pivot_row = next((r for r in range(k, n) if a[r][k]), None)
         if pivot_row is None:
             return 0
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
-        if k < n - 2:
-            # try a double step: need a nonzero 2x2 leading minor at this level
-            akk, akk1 = a[k][k], a[k][k + 1]
-            second = None
-            for r in range(k + 1, n):
-                if akk * a[r][k + 1] - akk1 * a[r][k]:
-                    second = r
-                    break
-            if second is not None:
-                if second != k + 1:
-                    a[k + 1], a[second] = a[second], a[k + 1]
-                    sign = -sign
-                p2 = akk * a[k + 1][k + 1] - akk1 * a[k + 1][k]
-                prev_sq = prev * prev
-                row_k, row_k1 = a[k], a[k + 1]
-                for i in range(k + 2, n):
-                    row_i = a[i]
-                    rik, rik1 = row_i[k], row_i[k + 1]
-                    m01 = row_k[k] * row_k1[k + 1] - row_k[k + 1] * row_k1[k]
-                    m02 = rik1 * row_k[k] - rik * row_k[k + 1]
-                    m12 = rik1 * row_k1[k] - rik * row_k1[k + 1]
-                    for j in range(k + 2, n):
-                        minor3 = (
-                            m01 * row_i[j] - m02 * row_k1[j] + m12 * row_k[j]
-                        )
-                        q, rem = divmod(minor3, prev_sq)
-                        if rem:
-                            raise ExactnessError("inexact division in two-step elimination")
-                        row_i[j] = q
-                q, rem = divmod(p2, prev)
-                if rem:
-                    raise ExactnessError("inexact pivot division in two-step elimination")
-                prev = q
-                k += 2
-                continue
-        # single fraction-free step
-        pivot = a[k][k]
+        row_k = a[k]
+        pivot = row_k[k]
         for i in range(k + 1, n):
             row_i = a[i]
             rik = row_i[k]
-            row_k = a[k]
             for j in range(k + 1, n):
                 q, rem = divmod(pivot * row_i[j] - rik * row_k[j], prev)
                 if rem:
                     raise ExactnessError("inexact division in elimination")
                 row_i[j] = q
         prev = pivot
-        k += 1
     return sign * a[n - 1][n - 1]
 
 

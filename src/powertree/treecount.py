@@ -12,9 +12,9 @@ from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 
 DC_VERTEX_LIMIT = 12
-# Two-step Bareiss on the full J + Q took 0.5 s at n = 168 (psl2:7), 3.9 s at
-# n = 200 (dihedral:200), 11.5 s at n = 256 (quaternion:256) and 53-67 s at
-# n = 360 (cyclic:360, dihedral:360), single runs on a 2-CPU VM.
+# One-step Bareiss on the full J + Q took 0.76-0.90 s at n = 168 (psl2:7), 4.3-4.5 s
+# at n = 200 (dihedral:200), 13.3-13.7 s at n = 256 (quaternion:256) and 52 s at
+# n = 360 (cyclic:360), best of 3 (n = 360: one run) in CPU time on a 2-CPU VM.
 MATRIX_TREE_VERTEX_LIMIT = 256
 CROSS_CHECK_MAX_DIM = 64
 
@@ -214,7 +214,7 @@ def closed_form_psl2(q: int, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Factor
     exponent, rem = divmod((q * q - 1) * (p - 2), p - 1)
     if rem:  # q = p^m is 1 mod p - 1, so this cannot happen for a prime power q
         raise ExactnessError(f"(q^2-1)(p-2) is not divisible by p-1 for q = {q}")
-    p_part = FactoredInt({p: exponent} if exponent else {})
+    p_part = FactoredInt.from_int(p, factor_bound) ** exponent
     minus = _cyclic_kappa((q - 1) // k, factor_bound) ** (q * (q + 1) // 2)
     plus = _cyclic_kappa((q + 1) // k, factor_bound) ** (q * (q - 1) // 2)
     return p_part * minus * plus

@@ -1,8 +1,12 @@
 """Command-line interface behavior, output formats, and exit codes."""
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import powertree
 from powertree import ENGINES
 from powertree.checks import VerificationResult
 from powertree.cli import main
@@ -166,6 +170,44 @@ def test_unknown_family_fails_with_diagnostic(capsys):
 def test_malformed_kappa_literal_fails_with_diagnostic(capsys):
     assert main(["recognize", "--kappa", "2^x*3"]) == 2
     assert "'2^x'" in capsys.readouterr().err
+
+
+def _cli_subprocess(*argv, preexec_fn=None):
+    # a subprocess, so that a hang times out instead of stalling the suite
+    source = Path(powertree.__file__).resolve().parents[1]
+    script = "import sys; from powertree.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=preexec_fn,
+                          env={"PYTHONPATH": str(source)})
+
+
+def test_kappa_literal_base_above_the_bound_fails_at_once():
+    # the bound is checked before primality, which would trial-divide this
+    # 31-digit prime base up to its square root
+    done = _cli_subprocess("recognize", "--kappa", "1000000000000000000000000000057^2")
+    assert done.returncode == 2
+    assert "exceeds the factor bound 10000" in done.stderr
+
+
+def test_kappa_literal_cofactor_under_a_large_bound_fits_in_memory():
+    # the cofactor is trial-divided up to its square root, not checked against
+    # a sieve of bound + 1 bytes, which would not fit under the 800 MiB limit
+    resource = pytest.importorskip("resource")
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (800 << 20, 800 << 20))
+
+    done = _cli_subprocess("recognize", "--kappa", "2^3*1000000007",
+                           "--factor-bound", "1000000000", preexec_fn=limit_address_space)
+    assert done.returncode == 2
+    assert "recognition requires a fully factored tree count" in done.stderr
+
+
+def test_file_errors_exit_two(capsys, tmp_path):
+    assert main(["verify", "--corpus", str(tmp_path / "missing.txt")]) == 2
+    assert capsys.readouterr().err.startswith("powertree: error: ")
+    assert main(["export", "cyclic:6", "--dot", str(tmp_path / "missing-dir" / "x.dot")]) == 2
+    assert capsys.readouterr().err.startswith("powertree: error: ")
 
 
 def test_order_cap_enforced(capsys):

@@ -162,6 +162,24 @@ def test_parse_rejects_malformed_literals(text):
         FactoredInt.parse(text)
 
 
+def test_parse_cofactor_rule_under_a_large_bound():
+    # a cofactor token must have no prime factor <= bound
+    bound = 10 ** 6
+    fi = FactoredInt.parse("2^3*1000000007", bound)
+    assert fi.factors == {2: 3} and fi.cofactor == 1000000007
+    assert FactoredInt.parse("100160063", 100).cofactor == 10007 * 10009
+    # the last has a prime factor just below the bound and one just above it
+    for text in ("4", "15", str(999983 * 1000003)):
+        with pytest.raises(ValueError, match="has a prime factor below"):
+            FactoredInt.parse(text, bound)
+
+
+def test_parse_checks_the_bound_before_primality():
+    with pytest.raises(ValueError, match="exceeds the factor bound 100$") as info:
+        FactoredInt.parse("10403^2", 100)  # 101 * 103
+    assert "prime" not in str(info.value)
+
+
 def test_constructor_validates():
     with pytest.raises(ValueError):
         FactoredInt({}, 0)

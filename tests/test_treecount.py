@@ -206,6 +206,16 @@ def test_psl2_closed_form():
             closed_form_psl2(bad)
 
 
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 11, 13])
+def test_psl2_closed_form_respects_its_factor_bound(q):
+    # p itself goes into the cofactor when the bound is below it
+    graph = _power_graph(f"psl2:{q}")
+    for bound in (2, 3, 5, 7, DEFAULT_FACTOR_BOUND):
+        text = str(closed_form_psl2(q, bound))
+        assert text == str(kappa_decomposed(graph, bound))
+        assert str(FactoredInt.parse(text, bound)) == text
+
+
 def test_psl2_closed_form_counts_its_cyclic_factors_past_the_matrix_tree_limit():
     # q = 727 needs kappa of cyclic:363 and cyclic:364, both above the limit.
     # The closed form itself has about 1.6e9 bits, too many to multiply out
