@@ -6,7 +6,7 @@ standard groups, counts their spanning trees exactly with several
 independent engines, verifies a suite of arithmetic claims about the
 counts, and recognizes the alternating group A6 from its count alone.
 """
-from .arith import DEFAULT_FACTOR_BOUND, FactoredInt
+from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt
 from .checks import (CLAIM_IDS, GroupBundle, VerificationResult,
                      load_manifest, run_verifications,
                      verify_clique_components, verify_component_count,
@@ -14,7 +14,6 @@ from .checks import (CLAIM_IDS, GroupBundle, VerificationResult,
                      verify_full_degree_divisor, verify_maximal_order_divisor,
                      verify_maximal_prime_divisor, verify_product_bound,
                      verify_simple_order_count)
-from .fields import GF, FieldElement
 from .graphs import (Component, ComponentDecomposition, Graph, PowerGraph,
                      build_power_graph, component_decomposition,
                      full_degree_vertices, to_dot, to_json, to_json_dict)
@@ -24,7 +23,7 @@ from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
                      dihedral_group, direct_product,
                      elementary_abelian_group, psl2_group, quaternion_group,
                      spec_order, symmetric_group)
-from .determinant import ExactnessError, det_bareiss, ones_plus_laplacian
+from .determinant import det_bareiss, ones_plus_laplacian
 from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
                           SimpleGroupFact, recognize)
 from .treecount import (ENGINES, KappaReport, VertexLimitError, closed_form_psl2,
@@ -45,9 +44,7 @@ __all__ = [
     "ElementProfile",
     "ExactnessError",
     "FactoredInt",
-    "FieldElement",
     "FiniteGroup",
-    "GF",
     "Graph",
     "GroupBundle",
     "GroupSpecError",

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isqrt
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -11,18 +12,42 @@ _SAFE_DIGITS = 600
 _LOG10_2 = 0.30102999566398120
 
 
+class ExactnessError(ArithmeticError):
+    """An exact-arithmetic invariant failed: an inexact division, or two
+    exact routes to the same number disagreeing."""
+
+
+# Miller-Rabin with the prime bases 2 .. 41 is deterministic below this bound
+# (Sorenson & Webster, Strong pseudoprimes to twelve prime bases, 2017).
+_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; meant for small n."""
+    """Primality: deterministic Miller-Rabin below _MILLER_RABIN_LIMIT, trial division above."""
     if n < 2:
         return False
-    for p in (2, 3):
+    for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
+    if n < 43 * 43:  # no prime factor up to 41 leaves n prime
+        return True
+    if n >= _MILLER_RABIN_LIMIT:
+        return not trial_divide(n, isqrt(n))[0]
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 6
     return True
 
 
@@ -266,7 +291,7 @@ class FactoredInt:
                         )
                     cofactor = p
                     continue
-            if p > bound:  # before is_prime, which trial-divides up to sqrt(p)
+            if p > bound:
                 raise ValueError(f"base of token {token!r} exceeds the factor bound {bound}")
             if not is_prime(p):
                 raise ValueError(f"token {token!r} is not prime")
@@ -312,6 +337,26 @@ class FactoredInt:
             return self
         return FactoredInt({p: e * exponent for p, e in self.factors.items()},
                            self.cofactor ** exponent)
+
+    def exact_div(self, divisor: FactoredInt) -> FactoredInt:
+        """The quotient by a divisor factored under the same bound: exponents are
+        subtracted and cofactors divided. A negative exponent or a remainder in
+        the cofactor means the divisor does not divide, and raises ExactnessError."""
+        if not self.cofactor:
+            return self
+        factors = dict(self.factors)
+        for p, e in divisor.factors.items():
+            left = factors.get(p, 0) - e
+            if left < 0:
+                raise ExactnessError(f"inexact division: the exponent of {p} would be {left}")
+            if left:
+                factors[p] = left
+            else:
+                del factors[p]
+        cofactor, rem = divmod(self.cofactor, divisor.cofactor)
+        if rem:
+            raise ExactnessError("inexact division: the cofactor leaves a remainder")
+        return FactoredInt(factors, cofactor)
 
     def valuation(self, p: int) -> int:
         """p-adic valuation of the value (exact even for primes above the bound)."""

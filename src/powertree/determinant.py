@@ -5,12 +5,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, trial_divide
-
-
-class ExactnessError(ArithmeticError):
-    """An exact-arithmetic invariant failed: an inexact division, or two
-    exact routes to the same number disagreeing."""
+from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt
 
 
 def ones_plus_laplacian(graph) -> list[list[int]]:
@@ -154,10 +149,10 @@ def twin_class_kappa(rows, vertices, root=None,
     The count comes back factored under `factor_bound`, and only det(L') is
     trial-divided whole: each distinct closed degree k is factored once and
     its exponents scaled by the sum of s_i - 1 over its classes, and s_0 is
-    divided out on the exponents. Primes above the bound, closed degrees above
-    it included, are multiplied into the cofactor, and s_0's part above the
-    bound is divided out of it. At a bound of 1 nothing is trial-divided and
-    the cofactor is the whole count. A complete graph is one class, and its
+    divided out by `FactoredInt.exact_div`. Primes above the bound, closed
+    degrees above it included, are multiplied into the cofactor, and s_0's
+    part above the bound is divided out of it. At a bound of 1 nothing is
+    trial-divided and the cofactor is the whole count. A complete graph is one class, and its
     count s^(s - 2) (Cayley) takes one factorization, that of s.
 
     A det(L') that is not an integer, or a product not divisible by s_0,
@@ -193,33 +188,10 @@ def twin_class_kappa(rows, vertices, root=None,
     det = _det_class_laplacian(classes)
     if not det:
         return FactoredInt.zero()
-    count = FactoredInt.from_int(det, factor_bound)
-    factors, cofactor = dict(count.factors), count.cofactor
-    for k, e in exponents.items():
-        small, large = trial_divide(k, factor_bound)
-        for p, f in small.items():
-            factors[p] = factors.get(p, 0) + f * e
-        if large > 1:
-            cofactor *= large ** e
-    small, large = trial_divide(root_size, factor_bound)
-    for p, f in small.items():
-        left = factors.get(p, 0) - f
-        if left < 0:
-            raise ExactnessError(_root_size_message(root_size))
-        if left:
-            factors[p] = left
-        else:
-            del factors[p]
-    if large > 1:
-        cofactor, rem = divmod(cofactor, large)
-        if rem:
-            raise ExactnessError(_root_size_message(root_size))
-    return FactoredInt(factors, cofactor)
-
-
-def _root_size_message(root_size: int) -> str:
-    return (f"prod k_i^(s_i - 1) * det(L') is not divisible by the root class size "
-            f"{root_size}")
+    count = FactoredInt.product(
+        [FactoredInt.from_int(det, factor_bound)]
+        + [FactoredInt.from_int(k, factor_bound) ** e for k, e in exponents.items()])
+    return count.exact_div(FactoredInt.from_int(root_size, factor_bound))
 
 
 def _det_class_laplacian(classes) -> int:

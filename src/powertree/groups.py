@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import prime_factors, prime_power
-from .fields import GF
 
 DEFAULT_ORDER_CAP = 2000
 
@@ -419,6 +418,68 @@ def _psl2_order(q: int, cap: int | None = None) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
+def _psl2_generators(q: int) -> list[tuple[int, ...]]:
+    """The permutations x -> x+1, x -> u*x and x -> -1/x of the projective line
+    over GF(q), on field indices sum c_i * p^i with q for infinity.
+
+    GF(p^k) is taken modulo the monic irreducible of degree k with the smallest
+    encoding, found by trial division by every monic polynomial of degree at
+    most k/2. The primitive element lam is the one with the smallest index, and
+    its exp/log tables give u*x = lam^(log x + 2) with u = lam^2 and
+    -1/x = -lam^(-log x); x+1 changes only the lowest digit.
+    """
+    p, k = prime_power(q)
+
+    def digits(x, length=k):  # the coefficients c_i, lowest first
+        return [x // p ** i % p for i in range(length)]
+
+    def index(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    def monic(encoding, degree):  # x^degree plus the polynomial of that encoding
+        return digits(encoding, degree) + [1]
+
+    def remainder(num, den):  # num modulo the monic den, coefficients lowest first
+        num = list(num)
+        d = len(den) - 1
+        for i in range(len(num) - 1, d - 1, -1):
+            c = num[i]
+            for j in range(d + 1):
+                num[i - d + j] = (num[i - d + j] - c * den[j]) % p
+        return num[:d]
+
+    def irreducible(f):  # no monic factor of degree 1 .. k/2
+        return all(any(remainder(f, monic(e, d)))
+                   for d in range(1, k // 2 + 1) for e in range(p ** d))
+
+    modulus = next(f for f in (monic(e, k) for e in range(q)) if irreducible(f))
+
+    def times(x, y):
+        product = [0] * (2 * k - 1)
+        for i, a in enumerate(digits(x)):
+            for j, b in enumerate(digits(y)):
+                product[i + j] = (product[i + j] + a * b) % p
+        return index(remainder(product, modulus))
+
+    for lam in range(1, q):
+        exp = [1]  # exp[e] = lam^e
+        while (x := times(exp[-1], lam)) != 1:
+            exp.append(x)
+        if len(exp) == q - 1:
+            break
+    log = [0] * q
+    for e, x in enumerate(exp):
+        log[x] = e
+
+    def negate(x):
+        return index(-c % p for c in digits(x))
+
+    translate = tuple(x - x % p + (x + 1) % p for x in range(q)) + (q,)
+    scale = (0,) + tuple(exp[(log[x] + 2) % (q - 1)] for x in range(1, q)) + (q,)
+    flip = (q,) + tuple(negate(exp[-log[x] % (q - 1)]) for x in range(1, q)) + (0,)
+    return [translate, scale, flip]
+
+
 def psl2_group(q: int) -> FiniteGroup:
     """PSL(2, q) acting on the projective line: q+1 points, field indices plus q for infinity.
 
@@ -427,29 +488,7 @@ def psl2_group(q: int) -> FiniteGroup:
     for even q the square is itself primitive), and x -> -1/x.
     """
     expected = _psl2_order(q)
-    p, k = prime_power(q)
-    field = GF(p, k)
-    infinity = q
-    lam = field.primitive_element()
-    u = lam * lam
-
-    def as_perm(f):
-        return tuple(f(x) for x in range(q + 1))
-
-    def translate(x):
-        return x if x == infinity else (field.from_index(x) + field.one).index
-
-    def scale(x):
-        return x if x == infinity else (u * field.from_index(x)).index
-
-    def flip(x):
-        if x == infinity:
-            return 0
-        if x == 0:
-            return infinity
-        return (-field.from_index(x).inverse()).index
-
-    generators = [as_perm(translate), as_perm(scale), as_perm(flip)]
+    generators = _psl2_generators(q)
     identity = tuple(range(q + 1))
     seen = _grow(set(), [identity], [lambda s, g=g: _compose(s, g) for g in generators])
     if len(seen) != expected:

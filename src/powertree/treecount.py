@@ -5,9 +5,8 @@ import time
 from dataclasses import dataclass
 from math import gcd
 
-from .arith import DEFAULT_FACTOR_BOUND, FactoredInt, prime_power
-from .determinant import (ExactnessError, det_bareiss, ones_plus_laplacian,
-                          twin_class_kappa)
+from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, prime_power
+from .determinant import det_bareiss, ones_plus_laplacian, twin_class_kappa
 from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 

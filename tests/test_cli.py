@@ -189,6 +189,15 @@ def test_kappa_literal_base_above_the_bound_fails_at_once():
     assert "exceeds the factor bound 10000" in done.stderr
 
 
+def test_kappa_literal_base_under_a_large_bound_is_tested_at_once():
+    # a 19-digit prime base under the bound: primality by Miller-Rabin, not
+    # by trial division up to its square root
+    done = _cli_subprocess("recognize", "--kappa", "1000000000000000003^2",
+                           "--factor-bound", "10000000000000000000")
+    assert done.returncode == 0, done.stderr
+    assert "1000000000000000003^2" in done.stdout
+
+
 def test_kappa_literal_cofactor_under_a_large_bound_fits_in_memory():
     # the cofactor is trial-divided up to its square root, not checked against
     # a sieve of bound + 1 bytes, which would not fit under the 800 MiB limit

@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from powertree import FactoredInt
+from powertree import ExactnessError, FactoredInt
 from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
                              iter_primes, parse_decimal, prime_factors,
                              prime_power, primes_below,
@@ -14,6 +14,14 @@ from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
 def test_is_prime_matches_sympy_below_2000():
     for n in range(2000):
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_past_trial_division():
+    # strong pseudoprimes to the bases 2 .. 7, 2 .. 23 and 2 .. 37
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(10 ** 18 + 3)
+    assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
 
 
 def test_primes_below():
@@ -200,6 +208,28 @@ def test_multiplication_and_powers():
     product = FactoredInt.product([a, b, FactoredInt.from_int(7 * 10007, bound=100)])
     assert (product.factors, product.cofactor) == ({2: 3, 3: 1, 5: 1, 7: 1}, 10007)
     assert FactoredInt.product([]) == 1
+
+
+def test_exact_division():
+    a = FactoredInt.from_int(2 ** 5 * 3 * 10007, bound=100)
+    quotient = a.exact_div(FactoredInt.from_int(2 ** 2 * 10007, bound=100))
+    assert (quotient.factors, quotient.cofactor) == ({2: 3, 3: 1}, 1)
+    assert a.exact_div(a) == 1 and a.exact_div(FactoredInt.one()) == a
+    assert FactoredInt.zero().exact_div(a).value == 0
+
+
+def test_exact_division_by_a_larger_exponent_raises():
+    with pytest.raises(ExactnessError, match="exponent of 2"):
+        FactoredInt.from_int(24).exact_div(FactoredInt.from_int(16))
+    with pytest.raises(ExactnessError, match="exponent of 5"):
+        FactoredInt.from_int(24).exact_div(FactoredInt.from_int(5))
+
+
+def test_exact_division_with_a_cofactor_remainder_raises():
+    a = FactoredInt.from_int(4 * 10007 * 10009, bound=100)
+    assert a.exact_div(FactoredInt.from_int(10009, bound=100)) == 4 * 10007
+    with pytest.raises(ExactnessError, match="cofactor leaves a remainder"):
+        a.exact_div(FactoredInt.from_int(10037, bound=100))
 
 
 def test_zero_is_the_count_of_a_disconnected_graph():

@@ -1,7 +1,8 @@
 """Group construction, element orders, spectra, and the spec grammar."""
+import hashlib
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from powertree import (GroupSpecError, OrderCapError, alternating_group,
                        elementary_abelian_group, psl2_group,
                        quaternion_group, spec_order, symmetric_group)
 from powertree import groups
-from powertree.arith import euler_phi
+from powertree.arith import euler_phi, prime_power
 
 TABLE_GROUPS = [
     "cyclic:1", "cyclic:2", "cyclic:12", "cyclic:17",
@@ -136,6 +137,54 @@ def test_psl2_orders_and_small_isomorphism_types():
     assert _order_histogram(build_group("psl2:3")) == {1: 1, 2: 3, 3: 8}
     assert _order_histogram(build_group("psl2:4")) == _order_histogram(build_group("alt:5"))
     assert _order_histogram(build_group("psl2:5")) == _order_histogram(build_group("alt:5"))
+
+
+def _cycle_lengths(perm) -> list[int]:
+    lengths, seen = [], set()
+    for start in range(len(perm)):
+        length, x = 0, start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        if length:
+            lengths.append(length)
+    return lengths
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 258) if prime_power(q)])
+def test_psl2_generators_from_the_field_tables(q):
+    translate, scale, flip = groups._psl2_generators(q)
+    infinity = q
+    p, _ = prime_power(q)
+    # x -> x + 1: q/p p-cycles on the field (one q-cycle for prime q), fixing infinity
+    assert translate[infinity] == infinity
+    assert sorted(_cycle_lengths(translate)) == [1] + [p] * (q // p)
+    # x -> u*x with u = lam^2: fixes 0 and infinity, order (q - 1)/gcd(2, q - 1)
+    assert scale[0] == 0 and scale[infinity] == infinity
+    assert sorted(scale) == list(range(q + 1))
+    assert lcm(*_cycle_lengths(scale)) == (q - 1) // gcd(2, q - 1)
+    # x -> -1/x: an involution swapping 0 and infinity
+    assert flip[0] == infinity and flip[infinity] == 0
+    assert all(flip[flip[x]] == x for x in range(q + 1))
+
+
+# sha256 of the element labels in index order (the sorted permutations, in
+# cycle notation), for the fields GF(p^k) with k > 1
+PSL2_ELEMENT_DIGESTS = {
+    4: "e46aabc153f62483b54b2ff024a267639474d21a2a98502ad87d5efc2de4cd61",
+    8: "f7f55c8982c66d34255a2f37e2f84d8a8a4454672b12ad6545a55d919914ab97",
+    9: "78480afdaaad690e16467bd3e362e1a41d5430ed99598e88d66ee6d9d6192fce",
+    16: "d0927ce161edc9d328532f1ab64419bbd783f8b860eec7c73de2dac2fa31cbb1",
+    27: "23af3404d56f3cb0d2bd9df833d4e31c0e6ec6b87df8b6d719582ef517b326d8",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PSL2_ELEMENT_DIGESTS))
+def test_psl2_element_lists_are_pinned(q):
+    group = psl2_group(q)
+    labels = "\n".join(group.element_label(g) for g in range(group.n))
+    assert hashlib.sha256(labels.encode()).hexdigest() == PSL2_ELEMENT_DIGESTS[q]
 
 
 def test_is_abelian():
