@@ -172,11 +172,12 @@ def decimal_short(value: int) -> str:
 
 
 def parse_decimal(text: str) -> int:
-    """``int(text)`` for decimal literals of any length (the inverse of decimal_str)."""
-    if len(text) <= _SAFE_DIGITS:
-        return int(text)
+    """The integer spelled by ASCII digits alone, of any length (the inverse of
+    decimal_str); signs, underscores, spaces and other digits are refused."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"malformed decimal literal of {len(text)} characters")
+    if len(text) <= _SAFE_DIGITS:
+        return int(text)
     half = len(text) // 2
     return parse_decimal(text[:-half]) * 10 ** half + parse_decimal(text[-half:])
 
@@ -269,7 +270,7 @@ class FactoredInt:
             if "^" in token:
                 base_text, _, exp_text = token.partition("^")
                 try:
-                    p, e = int(base_text), int(exp_text)
+                    p, e = parse_decimal(base_text.strip()), parse_decimal(exp_text.strip())
                 except ValueError:
                     raise ValueError(f"malformed factor token {token!r}") from None
                 if e < 1:
@@ -337,26 +338,6 @@ class FactoredInt:
             return self
         return FactoredInt({p: e * exponent for p, e in self.factors.items()},
                            self.cofactor ** exponent)
-
-    def exact_div(self, divisor: FactoredInt) -> FactoredInt:
-        """The quotient by a divisor factored under the same bound: exponents are
-        subtracted and cofactors divided. A negative exponent or a remainder in
-        the cofactor means the divisor does not divide, and raises ExactnessError."""
-        if not self.cofactor:
-            return self
-        factors = dict(self.factors)
-        for p, e in divisor.factors.items():
-            left = factors.get(p, 0) - e
-            if left < 0:
-                raise ExactnessError(f"inexact division: the exponent of {p} would be {left}")
-            if left:
-                factors[p] = left
-            else:
-                del factors[p]
-        cofactor, rem = divmod(self.cofactor, divisor.cofactor)
-        if rem:
-            raise ExactnessError("inexact division: the cofactor leaves a remainder")
-        return FactoredInt(factors, cofactor)
 
     def valuation(self, p: int) -> int:
         """p-adic valuation of the value (exact even for primes above the bound)."""

@@ -81,7 +81,7 @@ class GroupBundle:
     def det_jq(self) -> int:
         """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
         rooted at a class of smallest closed degree: a different elimination
-        from the one ``kappa`` runs on each piece through the identity. The count
+        from the one ``kappa`` runs rooted at the identity's class. The count
         is read as an integer, at a factor bound of 1: nothing is trial-divided."""
         if self._det_jq is None:
             n = self.graph.n
@@ -169,9 +169,11 @@ def verify_element_degree_divisor(source, g: int) -> VerificationResult:
     """Degree k of an element g forces |G| * (k+1)^phi(order(g)) | det(J+Q)."""
     bundle = _as_bundle(source)
     group = bundle.group
+    n = group.n
+    if not 0 <= g < n:
+        raise ValueError(f"element {g} is not an index of {bundle.label}'s {n} elements")
     if g == group.identity:
         raise ValueError("the identity element is excluded")
-    n = group.n
     k = bundle.graph.degree(g)
     phi = euler_phi(group.order_of(g))
     divisor = n * (k + 1) ** phi
@@ -271,6 +273,8 @@ def verify_simple_order_count(source, p: int) -> VerificationResult:
     for every prime p dividing the group order."""
     bundle = _as_bundle(source)
     group = bundle.group
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     if not group.is_nonabelian_simple():
         raise ValueError(f"{bundle.label} is not a nonabelian simple group")
     if group.n % p != 0:

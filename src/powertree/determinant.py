@@ -135,28 +135,31 @@ def twin_class_kappa(rows, vertices, root=None,
     weighted s_i s_j on each edge (Godsil & Royle, Algebraic Graph Theory,
     ch. 9 and 13). The weighted matrix-tree theorem then gives
 
-        kappa = prod_i k_i^(s_i - 1) * det(L') / s_0,
+        kappa = prod_i k_i^(s_i - 1) * det(S L') / prod_i s_i,
 
-    where L' is S^-1 L_w without the row and column of the root class C_0:
-    L'_ii = k_i - s_i, L'_ij = -s_j for adjacent classes i and j, and 0
-    otherwise. `det_min_degree` eliminates the symmetric S L', which is as
-    sparse as the class graph, and det(L') = det(S L') / prod_{i != 0} s_i.
+    where S L' is L_w without the row and column of the root class C_0:
+    s_i (k_i - s_i) on the diagonal, -s_i s_j for adjacent classes i and j,
+    and 0 otherwise, as sparse as the class graph. det(S L') sums
+    prod_i s_i^deg_T(i) over the spanning trees T of the class graph, so with
+    two or more classes prod_i s_i, the root's size included, divides it.
     The root class is that of the vertex `root`, or else the first class of
-    smallest closed degree. In a power graph the generators of one cyclic
-    subgroup are closed twins. A disconnected subgraph has no spanning tree,
-    and its count is `FactoredInt.zero()`.
+    smallest closed degree. Rooted at a vertex adjacent to all others (the
+    identity of a power graph), S L' is block diagonal over the blocks
+    through that vertex, so `det_min_degree` makes no fill between them and
+    the count is the product of theirs. In a power graph the generators of
+    one cyclic subgroup are closed twins. A disconnected subgraph has no
+    spanning tree, and its count is `FactoredInt.zero()`.
 
-    The count comes back factored under `factor_bound`, and only det(L') is
-    trial-divided whole: each distinct closed degree k is factored once and
-    its exponents scaled by the sum of s_i - 1 over its classes, and s_0 is
-    divided out by `FactoredInt.exact_div`. Primes above the bound, closed
-    degrees above it included, are multiplied into the cofactor, and s_0's
-    part above the bound is divided out of it. At a bound of 1 nothing is
-    trial-divided and the cofactor is the whole count. A complete graph is one class, and its
-    count s^(s - 2) (Cayley) takes one factorization, that of s.
+    The count comes back factored under `factor_bound`, and only
+    det(S L') / prod_i s_i is trial-divided whole: each distinct closed degree
+    k is factored once and its exponents scaled by the sum of s_i - 1 over its
+    classes. Primes above the bound, closed degrees above it included, are
+    multiplied into the cofactor. At a bound of 1 nothing is trial-divided and
+    the cofactor is the whole count. A complete graph is one class, which
+    leaves no L' to eliminate: its count s^(s - 2) (Cayley) takes one
+    factorization, that of s.
 
-    A det(L') that is not an integer, or a product not divisible by s_0,
-    raises ExactnessError.
+    A det(S L') not divisible by prod_i s_i raises ExactnessError.
     """
     vertices = list(vertices)
     if not vertices:
@@ -185,25 +188,24 @@ def twin_class_kappa(rows, vertices, root=None,
     else:
         root_key = rows[root] & mask | 1 << root
     root_size = classes.pop(root_key)[0]
-    det = _det_class_laplacian(classes)
+    det = _det_class_laplacian(classes, root_size)
     if not det:
         return FactoredInt.zero()
-    count = FactoredInt.product(
+    return FactoredInt.product(
         [FactoredInt.from_int(det, factor_bound)]
         + [FactoredInt.from_int(k, factor_bound) ** e for k, e in exponents.items()])
-    return count.exact_div(FactoredInt.from_int(root_size, factor_bound))
 
 
-def _det_class_laplacian(classes) -> int:
-    """det(L') for the classes other than the root, given as closed
-    neighbourhood -> [size, representative]."""
+def _det_class_laplacian(classes, root_size: int) -> int:
+    """det(S L') / prod_i s_i for the classes other than the root, given as
+    closed neighbourhood -> [size, representative], and the root's size."""
     index = {rep: i for i, (_, rep) in enumerate(classes.values())}
     sizes = [size for size, _ in classes.values()]
     reps = 0
     for rep in index:
         reps |= 1 << rep
     diag, off = [], []
-    scale = 1  # prod_{i != 0} s_i
+    scale = root_size  # prod_i s_i
     for key, (size, rep) in classes.items():
         scale *= size
         diag.append(size * (key.bit_count() - size))
@@ -217,5 +219,5 @@ def _det_class_laplacian(classes) -> int:
         off.append(row)
     det, rem = divmod(det_min_degree(diag, off), scale)
     if rem:
-        raise ExactnessError("det(L') of an integer matrix is not an integer")
+        raise ExactnessError("det(S L') is not divisible by the product of the class sizes")
     return det

@@ -25,6 +25,8 @@ class VertexLimitError(ValueError):
 
 
 def _require_connected(graph: Graph) -> None:
+    if not graph.n:
+        raise ValueError("spanning-tree count of a graph with no vertices")
     if not graph.is_connected():
         raise ValueError("spanning-tree count requires a connected graph")
 
@@ -46,28 +48,24 @@ def kappa_matrix_tree(graph: Graph,
 
 def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count as the product over the blocks through a universal vertex.
+    """Spanning-tree count on the closed-twin class Laplacian (``twin_class_kappa``),
+    rooted at the class of a vertex u adjacent to every other vertex (the
+    identity of a power graph).
 
-    A vertex u adjacent to every other vertex (the identity of a power graph)
-    lies in every block, and no other vertex is a cut vertex, so the blocks
-    are u plus each component of the graph without u. A graph with no such
-    vertex is one piece. Each piece is counted on its closed-twin class
-    Laplacian, rooted at the class of u (``twin_class_kappa``). A universal
-    vertex makes the graph connected, so only a graph without one is searched.
-    Each piece comes back factored under `factor_bound`, with the root class
-    size divided out on its exponents, and the pieces multiply as factored
-    integers: only each piece's det(L') is trial-divided.
+    Such a u lies in every block, and no other vertex is a cut vertex, so the
+    blocks are u plus each component of the graph without u, and kappa is the
+    product of their counts. Rooted at u's class, the one elimination is
+    block diagonal over the blocks, so the graph is never split. A universal
+    vertex makes the graph connected, so only a graph without one is
+    searched, and it is rooted at a class of smallest closed degree. The
+    count comes back factored under `factor_bound`.
     """
     rows = graph.rows
     n = graph.n
     u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
     if u is None:
         _require_connected(graph)
-        pieces = [list(range(n))]
-    else:
-        pieces = [c + [u] for c in graph.components(without=u)]
-    return FactoredInt.product(twin_class_kappa(rows, piece, u, factor_bound)
-                               for piece in pieces)
+    return twin_class_kappa(rows, range(n), u, factor_bound)
 
 
 def _multigraph_tree_count(vertices: frozenset[int],
@@ -161,8 +159,9 @@ class KappaReport:
 
 def compute_kappa(graph: Graph, engine: str = "auto",
                   factor_bound: int = DEFAULT_FACTOR_BOUND) -> KappaReport:
-    """Run one of ENGINES. "auto" multiplies the block counts and, on graphs of
-    at most CROSS_CHECK_MAX_DIM vertices, cross-checks them against matrix_tree."""
+    """Run one of ENGINES. "auto" counts on the class Laplacian rooted at the
+    identity (``kappa_decomposed``) and, on graphs of at most
+    CROSS_CHECK_MAX_DIM vertices, cross-checks the count against matrix_tree."""
     start = time.perf_counter()
     cross_checked = False
     if engine == "auto":

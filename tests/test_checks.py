@@ -90,6 +90,10 @@ def test_element_degree_divisor_claim():
     assert "8*4^2 = 128" in result.witness
     with pytest.raises(ValueError):
         verify_element_degree_divisor(bundle, group.identity)
+    # -1 would otherwise read element 7, and 8 raise an IndexError
+    for g in (-1, -8, 8, 100):
+        with pytest.raises(ValueError, match="is not an index of"):
+            verify_element_degree_divisor(bundle, g)
 
 
 def test_element_degree_divisor_fails_off_maximal_subgroups():
@@ -224,6 +228,10 @@ def test_simple_order_count_claim():
         verify_simple_order_count("sym:4", 2)
     with pytest.raises(ValueError):
         verify_simple_order_count("alt:5", 7)
+    # a p that is not prime: 4 divides |A5| = 60, and 1 would pass vacuously
+    for p in (4, 1, 0, -2, 6, 15):
+        with pytest.raises(ValueError, match="is not a prime"):
+            verify_simple_order_count("alt:5", p)
 
 
 @pytest.mark.parametrize("spec", ["alt:5", "psl2:7", "psl2:8"])

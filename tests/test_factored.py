@@ -4,7 +4,7 @@ import random
 import pytest
 import sympy
 
-from powertree import ExactnessError, FactoredInt
+from powertree import FactoredInt
 from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
                              iter_primes, parse_decimal, prime_factors,
                              prime_power, primes_below,
@@ -170,6 +170,21 @@ def test_parse_rejects_malformed_literals(text):
         FactoredInt.parse(text)
 
 
+@pytest.mark.parametrize("text", [
+    "2^1_0", "+2^3", "2^+3", "\u0663", "\u0663^2", "2^\u0663", "\uff12^3", "2^3*1_0007",
+    "2^3*+10007", "1_0007", "2^0x3", "2^\t",
+])
+def test_parse_requires_ascii_digits(text):
+    # int() would read each of these: underscores, signs and non-ASCII digits
+    with pytest.raises(ValueError, match="malformed"):
+        FactoredInt.parse(text)
+
+
+def test_parse_strips_spaces_around_each_part():
+    assert FactoredInt.parse(" 2^3 ") == 8
+    assert FactoredInt.parse("2 ^ 3 * 5 ^ 2 * 10007").factors == {2: 3, 5: 2}
+
+
 def test_parse_cofactor_rule_under_a_large_bound():
     # a cofactor token must have no prime factor <= bound
     bound = 10 ** 6
@@ -208,28 +223,6 @@ def test_multiplication_and_powers():
     product = FactoredInt.product([a, b, FactoredInt.from_int(7 * 10007, bound=100)])
     assert (product.factors, product.cofactor) == ({2: 3, 3: 1, 5: 1, 7: 1}, 10007)
     assert FactoredInt.product([]) == 1
-
-
-def test_exact_division():
-    a = FactoredInt.from_int(2 ** 5 * 3 * 10007, bound=100)
-    quotient = a.exact_div(FactoredInt.from_int(2 ** 2 * 10007, bound=100))
-    assert (quotient.factors, quotient.cofactor) == ({2: 3, 3: 1}, 1)
-    assert a.exact_div(a) == 1 and a.exact_div(FactoredInt.one()) == a
-    assert FactoredInt.zero().exact_div(a).value == 0
-
-
-def test_exact_division_by_a_larger_exponent_raises():
-    with pytest.raises(ExactnessError, match="exponent of 2"):
-        FactoredInt.from_int(24).exact_div(FactoredInt.from_int(16))
-    with pytest.raises(ExactnessError, match="exponent of 5"):
-        FactoredInt.from_int(24).exact_div(FactoredInt.from_int(5))
-
-
-def test_exact_division_with_a_cofactor_remainder_raises():
-    a = FactoredInt.from_int(4 * 10007 * 10009, bound=100)
-    assert a.exact_div(FactoredInt.from_int(10009, bound=100)) == 4 * 10007
-    with pytest.raises(ExactnessError, match="cofactor leaves a remainder"):
-        a.exact_div(FactoredInt.from_int(10037, bound=100))
 
 
 def test_zero_is_the_count_of_a_disconnected_graph():

@@ -138,6 +138,8 @@ def test_disconnected_graphs_rejected():
     for count in (kappa_matrix_tree, kappa_decomposed, kappa_deletion_contraction):
         with pytest.raises(ValueError):
             count(graph)
+        with pytest.raises(ValueError, match="graph with no vertices"):
+            count(Graph(0))
 
 
 def test_deletion_contraction_size_limit():
@@ -288,6 +290,8 @@ def _with_universal_vertex(graph: Graph) -> Graph:
 @settings(max_examples=60, deadline=None)
 @given(connected_twin_graphs())
 def test_block_counts_multiply_to_the_whole_graph_count(graph):
+    # each block through the universal vertex counted on its own: the reference
+    # for kappa_decomposed's one elimination over the whole graph
     graph = _with_universal_vertex(graph)
     u = graph.n - 1
     whole, rem = divmod(det_bareiss(ones_plus_laplacian(graph)), graph.n ** 2)
@@ -298,6 +302,21 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
         product *= twin_class_kappa(graph.rows, piece, u).value
     assert product == whole
     assert kappa_decomposed(graph).value == whole
+
+
+def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
+    # the identity is universal, so the whole graph is counted at once, rooted
+    # at its class, and the graph is never split into pieces
+    graph = _power_graph("alt:6 x cyclic:2")
+    calls = []
+    kernel = treecount.twin_class_kappa
+    monkeypatch.setattr(treecount, "twin_class_kappa",
+                        lambda *args: calls.append(args) or kernel(*args))
+    monkeypatch.setattr(Graph, "components", lambda *args, **kwargs: pytest.fail("split"))
+    kappa = kappa_decomposed(graph)
+    assert [(list(vertices), root) for _, vertices, root, _ in calls] == [
+        (list(range(graph.n)), graph.identity_vertex)]
+    assert str(kappa) == "2^574*3^302*5^149*7^35*67"
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,9 +336,10 @@ GRAPH_BOUND_SPECS = ("cyclic:1024", "cyclic:1331", "cyclic:1849", "elemabelian:2
 
 
 def test_factored_kernel_matches_trial_division_of_the_whole_count():
-    # the kernel factors each closed degree and det(L') apart and divides s_0 out
-    # on the exponents; that must split every count exactly as trial division of
-    # the multiplied-out count does, primes above the bound in the cofactor
+    # the kernel factors each closed degree apart from det(S L') / prod_i s_i,
+    # rooted at the identity's class over the whole graph; that must split every
+    # count exactly as trial division of the multiplied-out count does, primes
+    # above the bound in the cofactor
     specs = GRAPH_BOUND_SPECS + ("cyclic:1920", "quaternion:256", "sym:6", "alt:6 x cyclic:2")
     specs += tuple(s for s in load_manifest() if spec_order(s) <= 64)
     for spec in specs:
@@ -373,13 +393,13 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     treecount.kappa_matrix_tree = lambda *args: FactoredInt.one()
     print("cross-check", raises(lambda: treecount.compute_kappa(graph)))
     treecount.kappa_matrix_tree = real
-    # an elimination whose product is not divisible by the root class size: the
-    # paw's root class {0, 1} has size 2 and closed degree 3, its others size 1
+    # an elimination not divisible by the product of the class sizes: the paw's
+    # root class {0, 1} has size 2 and closed degree 3, its others size 1
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     determinant.det_min_degree = lambda diag, off: 1
     print("class-laplacian", raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0)))
-    # the same at a factor bound of 1, where the root class size 2 is divided
-    # out of the cofactor instead of the exponents
+    # the same at a factor bound of 1, where nothing is trial-divided: the
+    # division by the class sizes comes before any factoring
     print("class-laplacian-cofactor",
           raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0, factor_bound=1)))
     # a determinant that is not divisible by n^2
