@@ -159,14 +159,25 @@ def twin_class_kappa(rows, vertices, root=None,
     leaves no L' to eliminate: its count s^(s - 2) (Cayley) takes one
     factorization, that of s.
 
-    A det(S L') not divisible by prod_i s_i raises ExactnessError.
+    An empty vertex list, a negative, repeated or out-of-range vertex, or a
+    `root` outside `vertices` raises ValueError. A det(S L') not divisible by
+    prod_i s_i raises ExactnessError.
     """
     vertices = list(vertices)
     if not vertices:
         raise ValueError("spanning-tree count of a graph with no vertices")
+    if min(vertices) < 0:
+        raise ValueError(f"vertex {min(vertices)} is negative")
     mask = 0
     for v in vertices:
         mask |= 1 << v
+    if mask >> len(rows):
+        raise ValueError(f"vertex {max(vertices)} is outside the graph's {len(rows)} vertices")
+    if mask.bit_count() != len(vertices):
+        raise ValueError(f"{len(vertices)} vertices are listed but only "
+                         f"{mask.bit_count()} are distinct")
+    if root is not None and (root < 0 or not mask >> root & 1):
+        raise ValueError(f"root {root} is not among the vertices")
     classes: dict[int, list[int]] = {}  # closed neighbourhood -> [size, representative]
     for v in vertices:
         key = rows[v] & mask | 1 << v

@@ -1,4 +1,6 @@
-"""Spanning-tree counts of power graphs: exact engines and closed forms."""
+"""Spanning-tree counts of power graphs: the class-Laplacian count rooted at the
+identity, the dense matrix-tree reference it is cross-checked against, and
+closed forms."""
 from __future__ import annotations
 
 import time
@@ -10,14 +12,13 @@ from .determinant import det_bareiss, ones_plus_laplacian, twin_class_kappa
 from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 
-DC_VERTEX_LIMIT = 12
 # One-step Bareiss on the full J + Q took 0.76-0.90 s at n = 168 (psl2:7), 4.3-4.5 s
 # at n = 200 (dihedral:200), 13.3-13.7 s at n = 256 (quaternion:256) and 52 s at
 # n = 360 (cyclic:360), best of 3 (n = 360: one run) in CPU time on a 2-CPU VM.
 MATRIX_TREE_VERTEX_LIMIT = 256
 CROSS_CHECK_MAX_DIM = 64
 
-ENGINES = ("auto", "matrix_tree", "deletion_contraction")
+ENGINES = ("auto", "matrix_tree")
 
 
 class VertexLimitError(ValueError):
@@ -68,85 +69,6 @@ def kappa_decomposed(graph: Graph,
     return twin_class_kappa(rows, range(n), u, factor_bound)
 
 
-def _multigraph_tree_count(vertices: frozenset[int],
-                           edges: frozenset[tuple[int, int, int]],
-                           memo: dict) -> int:
-    """Deletion-contraction on a multigraph given as (u, v, multiplicity) classes.
-
-    Deleting a bridge leaves a disconnected graph, which counts 0, so the
-    recurrence needs no bridge search.
-    """
-    if len(vertices) <= 1:
-        return 1
-    if not edges:
-        return 0
-    key = (vertices, edges)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    adjacency: dict[int, set[int]] = {v: set() for v in vertices}
-    for u, v, _ in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-    # connectivity
-    start = next(iter(vertices))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for y in adjacency[x]:
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    if len(seen) != len(vertices):
-        memo[key] = 0
-        return 0
-    u, v, mult = min(edges)
-    deleted = frozenset(e for e in edges if e != (u, v, mult))
-    if mult > 1:
-        deleted |= {(u, v, mult - 1)}
-    result = _multigraph_tree_count(vertices, deleted, memo) + _multigraph_tree_count(
-        *_contract(vertices, edges, (u, v, mult)), memo
-    )
-    memo[key] = result
-    return result
-
-
-def _contract(vertices, edges, edge):
-    u, v, _ = edge
-    keep, drop = (u, v) if u < v else (v, u)
-    merged: dict[tuple[int, int], int] = {}
-    for a, b, m in edges:
-        if (a, b) == (keep, drop) or (a, b) == (drop, keep):
-            continue  # contracted copies become loops and vanish
-        a = keep if a == drop else a
-        b = keep if b == drop else b
-        if a == b:
-            continue
-        pair = (a, b) if a < b else (b, a)
-        merged[pair] = merged.get(pair, 0) + m
-    new_vertices = frozenset(x for x in vertices if x != drop)
-    new_edges = frozenset((a, b, m) for (a, b), m in merged.items())
-    return new_vertices, new_edges
-
-
-def kappa_deletion_contraction(graph: Graph,
-                               factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count by the deletion-contraction recurrence, limited to
-    DC_VERTEX_LIMIT vertices."""
-    if graph.n > DC_VERTEX_LIMIT:
-        raise VertexLimitError(
-            f"deletion-contraction is limited to {DC_VERTEX_LIMIT} vertices, got {graph.n}"
-        )
-    _require_connected(graph)
-    vertices = frozenset(range(graph.n))
-    edges = frozenset((a, b, 1) for a, b in graph.edges())
-    count = _multigraph_tree_count(vertices, edges, {})
-    return FactoredInt.from_int(count, factor_bound)
-
-
 @dataclass(frozen=True)
 class KappaReport:
     """A spanning-tree count with the engine that was asked for."""
@@ -175,8 +97,6 @@ def compute_kappa(graph: Graph, engine: str = "auto",
             cross_checked = True
     elif engine == "matrix_tree":
         value = kappa_matrix_tree(graph, factor_bound)
-    elif engine == "deletion_contraction":
-        value = kappa_deletion_contraction(graph, factor_bound)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     return KappaReport(value, engine, cross_checked, time.perf_counter() - start)

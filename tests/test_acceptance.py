@@ -12,12 +12,13 @@ from fractions import Fraction
 from powertree import (ENGINES, SUCCESS_VERDICT, FactoredInt, Graph, build_group,
                        build_power_graph, closed_form_psl2,
                        closed_form_quaternion, component_decomposition,
-                       compute_kappa, det_bareiss,
-                       kappa_deletion_contraction, kappa_matrix_tree,
+                       compute_kappa, det_bareiss, kappa_matrix_tree,
                        load_manifest, ones_plus_laplacian, recognize,
                        run_verifications, spec_order, verify_component_count)
 from powertree.arith import prime_power
 from powertree.checks import GroupBundle
+
+from _deletion_contraction import DC_VERTEX_LIMIT, kappa_deletion_contraction
 
 QUATERNION_MATRIX = [
     [4, 0, 1, 1, 1, 1, 0, 0],
@@ -73,10 +74,10 @@ def test_criterion_02_cyclic_prime_powers():
         for n in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
             graph = build_power_graph(build_group(f"cyclic:{n}"))
             expected = n ** (n - 2)
-            # deletion-contraction is limited to 12 vertices
-            engines = [e for e in ENGINES if n <= 12 or e != "deletion_contraction"]
-            for engine in engines:
+            for engine in ENGINES:
                 assert compute_kappa(graph, engine).kappa.value == expected
+            if n <= DC_VERTEX_LIMIT:
+                assert kappa_deletion_contraction(graph).value == expected
         assert time.perf_counter() - start < 5.0
 
 

@@ -231,8 +231,6 @@ def test_order_cap_enforced(capsys):
 
 
 def test_engine_preconditions_fail_cleanly(capsys):
-    assert main(["kappa", "cyclic:20", "--engine", "deletion_contraction"]) == 2
-    assert "12 vertices" in capsys.readouterr().err
     assert main(["kappa", "cyclic:257", "--engine", "matrix_tree"]) == 2
     assert "limited to 256 vertices, got 257" in capsys.readouterr().err
 
@@ -241,6 +239,7 @@ def test_engine_preconditions_fail_cleanly(capsys):
     [], ["kappa"], ["recognize"], ["kappa", "cyclic:6", "--engine", "bogus"],
     ["verify", "--claim", "bogus"], ["bogus-command"],
     ["kappa", "cyclic:6", "--engine", "crt"], ["kappa", "cyclic:6", "--engine", "dc"],
+    ["kappa", "cyclic:12", "--engine", "deletion_contraction"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as info:

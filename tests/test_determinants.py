@@ -127,6 +127,19 @@ def test_class_laplacian_of_small_graphs():
     assert [twin_class_kappa(paw.rows, range(4), root) for root in range(4)] == [3] * 4
 
 
+def test_class_laplacian_rejects_bad_vertex_lists():
+    cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for vertices, root, message in [
+        ([1, 2, 3], 0, "root 0 is not among the vertices"),
+        ([0, 1, 2, 3, 3], 0, "5 vertices are listed but only 4 are distinct"),
+        ([0, 1, 2, 3, 7], 0, "vertex 7 is outside the graph's 4 vertices"),
+        ([0, 1, 2, -1], 0, "vertex -1 is negative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            twin_class_kappa(cycle.rows, vertices, root)
+    assert twin_class_kappa(cycle.rows, [3, 2, 1, 0], 0) == 4
+
+
 def test_min_degree_elimination_matches_sympy():
     rng = random.Random(43)
     singular = 0

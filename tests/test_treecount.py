@@ -16,10 +16,11 @@ import powertree
 from powertree import (DEFAULT_FACTOR_BOUND, ENGINES, FactoredInt, Graph, GroupBundle,
                        VertexLimitError, build_group, build_power_graph,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
-                       det_bareiss, kappa_decomposed, kappa_deletion_contraction,
-                       kappa_matrix_tree, load_manifest, ones_plus_laplacian,
-                       spec_order, treecount)
+                       det_bareiss, kappa_decomposed, kappa_matrix_tree, load_manifest,
+                       ones_plus_laplacian, spec_order, treecount)
 from powertree.determinant import twin_class_kappa
+
+from _deletion_contraction import DC_VERTEX_LIMIT, kappa_deletion_contraction
 
 CYCLIC_COUNTS = {
     1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 540, 7: 7 ** 5, 9: 3 ** 14,
@@ -143,7 +144,7 @@ def test_disconnected_graphs_rejected():
 
 
 def test_deletion_contraction_size_limit():
-    n = treecount.DC_VERTEX_LIMIT
+    n = DC_VERTEX_LIMIT
     with pytest.raises(VertexLimitError):
         kappa_deletion_contraction(Graph.from_edges(n + 1, [(i, i + 1) for i in range(n)]))
     path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
@@ -173,7 +174,7 @@ def test_engine_selection_and_reports():
     assert compute_kappa(_power_graph("cyclic:12")).kappa.value == 7823278080
     big = _power_graph("sym:5")
     assert not compute_kappa(big).cross_checked
-    for removed in ("bogus", "crt", "decomposition"):
+    for removed in ("bogus", "crt", "decomposition", "deletion_contraction"):
         with pytest.raises(ValueError):
             compute_kappa(graph, removed)
 
