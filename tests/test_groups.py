@@ -14,6 +14,7 @@ from powertree import (GroupSpecError, OrderCapError, alternating_group,
                        quaternion_group, spec_order, symmetric_group)
 from powertree import groups
 from powertree.arith import euler_phi, prime_power
+from powertree.checks import load_manifest
 
 TABLE_GROUPS = [
     "cyclic:1", "cyclic:2", "cyclic:12", "cyclic:17",
@@ -204,10 +205,10 @@ def test_conjugacy_classes():
 
 
 def test_is_nonabelian_simple():
-    for spec in ["alt:5", "alt:6", "psl2:7", "psl2:8", "psl2:11"]:
+    for spec in ["alt:5", "alt:6", "psl2:7", "psl2:8", "psl2:11", "psl2:13"]:
         assert build_group(spec).is_nonabelian_simple()
     for spec in ["cyclic:13", "sym:4", "alt:4", "quaternion:8", "psl2:2", "psl2:3",
-                 "sym:5", "alt:5 x cyclic:2", "dihedral:10"]:
+                 "sym:5", "alt:5 x cyclic:2", "dihedral:10", "sym:5 x cyclic:3"]:
         assert not build_group(spec).is_nonabelian_simple()
 
 
@@ -223,6 +224,55 @@ def _brute_closure(group, gens) -> set[int]:
                 members.add(y)
                 stack.append(y)
     return members
+
+
+# three-prime orders, not simple: the abelian test stops cyclic:30, and the class
+# sizes of the others leave the sieve a candidate divisor, so closures decide
+SIEVE_CANDIDATES = ["sym:5", "alt:5 x cyclic:2", "sym:5 x cyclic:3", "psl2:7 x cyclic:2",
+                    "dihedral:30", "cyclic:30"]
+
+
+@pytest.mark.parametrize("spec", load_manifest() + SIEVE_CANDIDATES)
+def test_is_nonabelian_simple_matches_the_definition(spec):
+    group = build_group(spec)
+    n = group.n
+    by_definition = (
+        n > 1
+        and any(group.mul(a, b) != group.mul(b, a) for a in range(n) for b in range(a))
+        and all(_brute_closure(group, cls) == set(range(n))
+                for cls in group.conjugacy_classes() if cls[0] != group.identity)
+    )
+    assert group.is_nonabelian_simple() == by_definition
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of the FiniteGroup method `name` while the test runs."""
+    calls = []
+    method = getattr(groups.FiniteGroup, name)
+
+    def counted(self, *args):
+        calls.append((self.label, *args))
+        return method(self, *args)
+
+    monkeypatch.setattr(groups.FiniteGroup, name, counted)
+    return calls
+
+
+def test_class_equation_proves_the_corpus_simple_groups_without_closures(monkeypatch):
+    simple = [build_group(spec) for spec in [
+        "alt:5", "alt:6", "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11"]]
+    calls = _count_calls(monkeypatch, "normal_closure")
+    assert all(group.is_nonabelian_simple() for group in simple)
+    assert calls == []
+
+
+def test_two_prime_orders_are_not_simple_without_generators(monkeypatch):
+    # Burnside's p^a q^b theorem: the order alone decides
+    solvable = [build_group(spec) for spec in [
+        "sym:4", "dihedral:200", "quaternion:256", "elemabelian:2:10", "cyclic:1849"]]
+    calls = _count_calls(monkeypatch, "generating_set")
+    assert not any(group.is_nonabelian_simple() for group in solvable)
+    assert calls == []
 
 
 def _sole_identity(group) -> int:
