@@ -183,9 +183,11 @@ def parse_decimal(text: str) -> int:
 
 
 def valuation(n: int, p: int) -> int:
-    """Largest e with p**e dividing n (n != 0)."""
+    """Largest e with p**e dividing n (n != 0, p >= 2)."""
     if n == 0:
         raise ValueError("valuation of zero is undefined")
+    if p < 2:
+        raise ValueError(f"valuation at {p} is undefined: the base must be at least 2")
     e = 0
     n = abs(n)
     while n % p == 0:
@@ -340,9 +342,12 @@ class FactoredInt:
                            self.cofactor ** exponent)
 
     def valuation(self, p: int) -> int:
-        """p-adic valuation of the value (exact even for primes above the bound)."""
+        """p-adic valuation of the value (exact even for primes above the bound).
+        A p that is not prime raises ValueError."""
         if p in self.factors:
             return self.factors[p]
+        if not is_prime(p):
+            raise ValueError(f"valuation at {p}, which is not a prime")
         if self.cofactor % p == 0:
             return valuation(self.cofactor, p)
         return 0

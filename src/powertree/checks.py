@@ -228,6 +228,10 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
     group = bundle.group
     member_sets = [frozenset(members) for members in subgroups]
     for members in member_sets:
+        outside = next((g for g in members if not 0 <= g < group.n), None)
+        if outside is not None:
+            raise ValueError(f"element {outside} is not an index of "
+                             f"{bundle.label}'s {group.n} elements")
         if len(members) <= 1:
             raise ValueError("subgroups must be nontrivial")
         if len(members) >= group.n:

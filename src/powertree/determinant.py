@@ -2,7 +2,6 @@
 spanning-tree counts through the sparse Laplacian of the closed-twin classes."""
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt
@@ -59,43 +58,38 @@ def det_bareiss(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_min_degree(diag, off) -> int:
+def det_sparse_symmetric(diag, off) -> int:
     """Exact determinant of a symmetric positive semidefinite integer matrix,
     stored sparsely: `diag[i]` is entry (i, i) and `off[i]` maps j to entry
     (i, j) = (j, i) for the nonzero entries off the diagonal. Both are consumed.
 
-    Pivots are taken on the diagonal in a greedy minimum-degree order (George &
-    Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981),
-    with no row swaps, updating each symmetric pair of entries once. Each
+    Pivots are taken on the diagonal in index order, with no row swaps,
+    updating each symmetric pair of entries once; the caller chooses the order
+    by how it numbers the rows, since the order decides the fill (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981). Each
     entry is held as a (numerator, denominator) pair of ints with a positive
     denominator, reduced by `math.gcd` after every update; an input entry is
     read through its `numerator` and `denominator`. The determinant is held
     as two running products, of the pivots' numerators and of their
     denominators. A zero pivot means a singular leading block, which in a
-    semidefinite matrix makes the whole matrix singular: the determinant is 0.
-    Otherwise the two products are divided once at the end, and a remainder,
-    a determinant that is not an integer, raises ExactnessError.
+    semidefinite matrix makes the whole matrix singular, whatever the order:
+    the determinant is 0. Otherwise the two products are divided once at the
+    end, and a remainder, a determinant that is not an integer, raises
+    ExactnessError.
     """
     for i, a in enumerate(diag):
         diag[i] = (a.numerator, a.denominator)
     for row in off:
         for j, a in row.items():
             row[j] = (a.numerator, a.denominator)
-    heap = [(len(row), i) for i, row in enumerate(off)]
-    heapify(heap)
-    done = [False] * len(diag)
     num = den = 1
-    while heap:
-        degree, k = heappop(heap)
-        if done[k] or degree != len(off[k]):
-            continue  # a stale entry: k was eliminated, or its degree changed
-        done[k] = True
+    for k, row_k in enumerate(off):
         p, q = diag[k]
         if not p:
             return 0
         num *= p
         den *= q
-        column = list(off[k].items())
+        column = list(row_k.items())
         for i, _ in column:
             del off[i][k]
         for x, (i, (a, b)) in enumerate(column):
@@ -115,8 +109,6 @@ def det_min_degree(diag, off) -> int:
                 g = gcd(n, d)
                 row_i[j] = off[j][i] = (n // g, d // g)
             diag[i] = row_i.pop(i)
-        for i, _ in column:
-            heappush(heap, (len(off[i]), i))
     det, rem = divmod(num, den)
     if rem:
         raise ExactnessError("the determinant of an integer matrix is not an integer")
@@ -142,13 +134,17 @@ def twin_class_kappa(rows, vertices, root=None,
     and 0 otherwise, as sparse as the class graph. det(S L') sums
     prod_i s_i^deg_T(i) over the spanning trees T of the class graph, so with
     two or more classes prod_i s_i, the root's size included, divides it.
-    The root class is that of the vertex `root`, or else the first class of
-    smallest closed degree. Rooted at a vertex adjacent to all others (the
-    identity of a power graph), S L' is block diagonal over the blocks
-    through that vertex, so `det_min_degree` makes no fill between them and
-    the count is the product of theirs. In a power graph the generators of
-    one cyclic subgroup are closed twins. A disconnected subgraph has no
-    spanning tree, and its count is `FactoredInt.zero()`.
+    The classes are sorted once by closed degree, ascending, ties kept in the
+    order of their first vertices, and `det_sparse_symmetric` eliminates S L'
+    in that order: a class of small closed degree has few neighbours, so
+    eliminating it early makes little fill. The root class is that of the
+    vertex `root`, or else the first class in that order. Rooted at a vertex
+    adjacent to all others (the identity of a power graph), S L' is block
+    diagonal over the blocks through that vertex, so the elimination makes
+    no fill between them and the count is the product of theirs. In a power
+    graph the generators of one cyclic subgroup are closed twins. A
+    disconnected subgraph has no spanning tree, and its count is
+    `FactoredInt.zero()`.
 
     The count comes back factored under `factor_bound`, and only
     det(S L') / prod_i s_i is trial-divided whole: each distinct closed degree
@@ -194,8 +190,9 @@ def twin_class_kappa(rows, vertices, root=None,
         if size > 1:
             k = key.bit_count()
             exponents[k] = exponents.get(k, 0) + size - 1
+    classes = dict(sorted(classes.items(), key=lambda item: item[0].bit_count()))
     if root is None:
-        root_key = min(classes, key=int.bit_count)
+        root_key = next(iter(classes))
     else:
         root_key = rows[root] & mask | 1 << root
     root_size = classes.pop(root_key)[0]
@@ -209,7 +206,8 @@ def twin_class_kappa(rows, vertices, root=None,
 
 def _det_class_laplacian(classes, root_size: int) -> int:
     """det(S L') / prod_i s_i for the classes other than the root, given as
-    closed neighbourhood -> [size, representative], and the root's size."""
+    closed neighbourhood -> [size, representative] in elimination order, and
+    the root's size."""
     index = {rep: i for i, (_, rep) in enumerate(classes.values())}
     sizes = [size for size, _ in classes.values()]
     reps = 0
@@ -228,7 +226,7 @@ def _det_class_laplacian(classes, root_size: int) -> int:
             row[j] = -size * sizes[j]
             adjacent ^= low
         off.append(row)
-    det, rem = divmod(det_min_degree(diag, off), scale)
+    det, rem = divmod(det_sparse_symmetric(diag, off), scale)
     if rem:
         raise ExactnessError("det(S L') is not divisible by the product of the class sizes")
     return det

@@ -159,6 +159,10 @@ def test_product_bound_claim_validates_input():
         verify_product_bound(z12, [set(range(12))])  # not proper
     with pytest.raises(ValueError):
         verify_product_bound(z12, [{0, 3, 6, 9}, {0, 6}])  # shared involution
+    c6 = GroupBundle("cyclic:6")
+    for outside in (99, 6, -1):
+        with pytest.raises(ValueError, match=f"element {outside} is not an index"):
+            verify_product_bound(c6, [[0, outside]])
     s3 = build_group("sym:3")
     rotation = next(g for g in range(6) if s3.order_of(g) == 3)
     with pytest.raises(ValueError, match="not closed"):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from powertree import (Graph, build_group, build_power_graph, det_bareiss,
                        ones_plus_laplacian)
-from powertree.determinant import ExactnessError, det_min_degree, twin_class_kappa
+from powertree.determinant import ExactnessError, det_sparse_symmetric, twin_class_kappa
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -66,8 +66,8 @@ def test_trivial_sizes():
     assert det_bareiss([]) == 1
     assert det_bareiss([[7]]) == 7
     assert det_bareiss([[-3]]) == -3
-    assert det_min_degree([], []) == 1
-    assert det_min_degree([5], [{}]) == 5
+    assert det_sparse_symmetric([], []) == 1
+    assert det_sparse_symmetric([5], [{}]) == 5
 
 
 def test_engines_agree_on_large_entries():
@@ -99,7 +99,7 @@ def test_hadamard_bound_holds():
 
 
 def _sparse(matrix):
-    """`det_min_degree`'s input: the diagonal, and the nonzero entries off it by row."""
+    """`det_sparse_symmetric`'s input: the diagonal, and the nonzero entries off it by row."""
     n = len(matrix)
     return ([matrix[i][i] for i in range(n)],
             [{j: matrix[i][j] for j in range(n) if j != i and matrix[i][j]} for i in range(n)])
@@ -114,7 +114,7 @@ def _gram(rng, n, rank):
 
 def test_non_integral_determinant_raises():
     with pytest.raises(ExactnessError):
-        det_min_degree([Fraction(1, 2)], [{}])
+        det_sparse_symmetric([Fraction(1, 2)], [{}])
 
 
 def test_class_laplacian_of_small_graphs():
@@ -140,7 +140,7 @@ def test_class_laplacian_rejects_bad_vertex_lists():
     assert twin_class_kappa(cycle.rows, [3, 2, 1, 0], 0) == 4
 
 
-def test_min_degree_elimination_matches_sympy():
+def test_sparse_elimination_matches_sympy():
     rng = random.Random(43)
     singular = 0
     for _ in range(200):
@@ -148,7 +148,7 @@ def test_min_degree_elimination_matches_sympy():
         matrix = _gram(rng, n, rng.randrange(n // 2, n + 2))
         expected = int(sympy.Matrix(matrix).det())
         singular += expected == 0
-        assert det_min_degree(*_sparse(matrix)) == expected
+        assert det_sparse_symmetric(*_sparse(matrix)) == expected
     assert singular  # the zero-pivot exit ran
 
 
@@ -165,7 +165,7 @@ def _weighted_gram(rng, n, rank):
     return [[sum(row[i] * row[j] for row in b) for j in range(n)] for i in range(n)]
 
 
-def test_min_degree_elimination_matches_bareiss_on_large_entries():
+def test_sparse_elimination_matches_bareiss_on_large_entries():
     rng = random.Random(47)
     singular = 0
     for _ in range(40):
@@ -173,7 +173,7 @@ def test_min_degree_elimination_matches_bareiss_on_large_entries():
         matrix = _weighted_gram(rng, n, rng.randrange(max(n - 1, 1), 2 * n + 1))
         expected = det_bareiss(matrix)
         singular += expected == 0
-        result = det_min_degree(*_sparse(matrix))
+        result = det_sparse_symmetric(*_sparse(matrix))
         assert type(result) is int
         assert result == expected
     assert 0 < singular < 40

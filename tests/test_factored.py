@@ -90,6 +90,9 @@ def test_valuation():
     assert valuation(7, 2) == 0
     with pytest.raises(ValueError):
         valuation(0, 2)
+    for base in (1, 0, -1):  # a base of 1 would divide forever
+        with pytest.raises(ValueError, match="at least 2"):
+            valuation(48, base)
 
 
 def test_from_int_round_trip():
@@ -253,6 +256,12 @@ def test_valuation_method_exact_past_bound():
     assert fi.valuation(2) == 3
     assert fi.valuation(10007) == 1
     assert fi.valuation(5) == 0
+    # unchecked, 1 would divide the cofactor forever, 0 would divide by zero,
+    # and 4 or 2 * 10007 would read 0
+    for number, p in ((FactoredInt.one(), 1), (FactoredInt({2: 3}), 0),
+                      (FactoredInt({2: 3}), 4), (fi, 10007 * 2), (fi, -2)):
+        with pytest.raises(ValueError, match="not a prime"):
+            number.valuation(p)
 
 
 def test_equality_and_int_conversion():
