@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isqrt
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -24,7 +23,12 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Primality: deterministic Miller-Rabin below _MILLER_RABIN_LIMIT, trial division above."""
+    """Primality by deterministic Miller-Rabin below _MILLER_RABIN_LIMIT.
+
+    At or above the limit only a prime factor up to 41 decides the answer
+    (not prime); any other n raises ValueError, as no test here is both
+    exact and fast there.
+    """
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
@@ -33,7 +37,8 @@ def is_prime(n: int) -> bool:
     if n < 43 * 43:  # no prime factor up to 41 leaves n prime
         return True
     if n >= _MILLER_RABIN_LIMIT:
-        return not trial_divide(n, isqrt(n))[0]
+        raise ValueError(f"primality of {decimal_short(n)} is not decided: it is at least "
+                         f"{_MILLER_RABIN_LIMIT}, past deterministic Miller-Rabin")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -6,6 +6,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
+from typing import NamedTuple
 
 from .arith import prime_factors, prime_power
 
@@ -20,8 +22,7 @@ class OrderCapError(ValueError):
     """Raised when a requested group would exceed the order cap."""
 
 
-@dataclass(frozen=True)
-class ElementProfile:
+class ElementProfile(NamedTuple):
     """Order data for one group element, shared by every generator of its cyclic subgroup."""
 
     order: int
@@ -82,7 +83,7 @@ class FiniteGroup:
         self._mul_elem = mul_elem
         self._repr_elem = repr_elem if repr_elem is not None else str
         self.identity = identity
-        self._profiles: dict[int, ElementProfile] = {}
+        self._profiles: list[ElementProfile] | None = None
         self._cyclic_subgroups: dict[ElementProfile, list[int]] | None = None
         self._spectrum: Spectrum | None = None
         self._generators: list[int] | None = None
@@ -113,20 +114,9 @@ class FiniteGroup:
     # -- element orders and cyclic subgroups --
 
     def profile(self, a: int) -> ElementProfile:
-        cached = self._profiles.get(a)
-        if cached is not None:
-            return cached
-        members = [self.identity]
-        x = a
-        while x != self.identity:
-            members.append(x)
-            x = self.mul(x, a)
-        order = len(members)
-        prof = ElementProfile(order, frozenset(members))
-        for k in range(order):  # a^k generates the same subgroup iff gcd(k, order) = 1
-            if gcd(k, order) == 1:
-                self._profiles[members[k]] = prof
-        return prof
+        if self._profiles is None:
+            self.cyclic_subgroups()
+        return self._profiles[a]
 
     def order_of(self, a: int) -> int:
         return self.profile(a).order
@@ -136,11 +126,42 @@ class FiniteGroup:
 
     def cyclic_subgroups(self) -> dict[ElementProfile, list[int]]:
         """Each distinct cyclic subgroup's profile -> its generators, ascending,
-        keyed in order of smallest generator. Built once and kept."""
+        keyed in order of smallest generator. Built once and kept.
+
+        One walk a, a^2, ... per element a that no earlier walk reached
+        profiles all of <a>: with m = |<a>|, the power a^k generates
+        <a^d> for d = gcd(k, m), whose members are every d-th power. Each
+        walk gives every generator of <a^d> one profile, taken from an
+        earlier walk that reached a^d or else made here, so all generators
+        of a subgroup share one profile.
+        """
         if self._cyclic_subgroups is None:
+            elements, index, mul_elem = self._elements, self._index, self._mul_elem
+            identity = self.identity
+            profiles: list[ElementProfile | None] = [None] * self.n
+            for a in range(self.n):
+                if profiles[a] is not None:
+                    continue
+                members = [identity]
+                e_a = y = elements[a]
+                x = a
+                while x != identity:
+                    members.append(x)
+                    y = mul_elem(y, e_a)
+                    x = index[y]
+                m = len(members)
+                shared: dict[int, ElementProfile] = {}
+                for k, x in enumerate(members):
+                    d = gcd(k, m)
+                    prof = shared.get(d)
+                    if prof is None:
+                        prof = shared[d] = profiles[members[d % m]] or ElementProfile(
+                            m // d, frozenset(members[::d]))
+                    profiles[x] = prof
             out: dict[ElementProfile, list[int]] = {}
-            for g in range(self.n):
-                out.setdefault(self.profile(g), []).append(g)
+            for g, prof in enumerate(profiles):
+                out.setdefault(prof, []).append(g)
+            self._profiles = profiles
             self._cyclic_subgroups = out
         return self._cyclic_subgroups
 
@@ -364,8 +385,8 @@ def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
 
 
 def _compose(a, b):
-    # apply b first, then a
-    return tuple(a[x] for x in b)
+    # apply b first, then a; on one point itemgetter(0) would return a bare 0
+    return itemgetter(*b)(a) if len(b) > 1 else a
 
 
 def _permutation_parity(perm) -> int:
@@ -507,7 +528,7 @@ def psl2_group(q: int) -> FiniteGroup:
     expected = _psl2_order(q)
     generators = _psl2_generators(q)
     identity = tuple(range(q + 1))
-    seen = _grow(set(), [identity], [lambda s, g=g: _compose(s, g) for g in generators])
+    seen = _grow(set(), [identity], [itemgetter(*g) for g in generators])
     if len(seen) != expected:
         raise RuntimeError(
             f"psl2:{q} closure has {len(seen)} elements, expected {expected}"

@@ -198,6 +198,16 @@ def test_kappa_literal_base_under_a_large_bound_is_tested_at_once():
     assert "1000000000000000003^2" in done.stdout
 
 
+def test_kappa_literal_base_past_miller_rabin_is_refused_at_once():
+    # the first prime above the Miller-Rabin bound, under a bound above it:
+    # its primality is not decided, so the literal is refused (exit 2)
+    done = _cli_subprocess("recognize", "--kappa", "3317044064679887385962123^2",
+                           "--factor-bound", "4000000000000000000000000")
+    assert done.returncode == 2
+    assert ("powertree: error: primality of 3317044064679887385962123 is not decided"
+            in done.stderr)
+
+
 def test_kappa_literal_cofactor_under_a_large_bound_fits_in_memory():
     # the cofactor is trial-divided up to its square root, not checked against
     # a sieve of bound + 1 bytes, which would not fit under the 800 MiB limit

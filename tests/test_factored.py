@@ -1,9 +1,13 @@
 """Number-theory helpers and integers carried with their factorizations."""
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
 
+import powertree
 from powertree import FactoredInt
 from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
                              iter_primes, parse_decimal, prime_factors,
@@ -22,6 +26,21 @@ def test_is_prime_past_trial_division():
         assert not is_prime(n)
     assert is_prime(10 ** 18 + 3)
     assert not is_prime((10 ** 9 + 7) * (10 ** 9 + 9))
+
+
+# the first prime above the bound below which Miller-Rabin with the bases 2 .. 41 is exact
+_PRIME_PAST_MILLER_RABIN = 3317044064679887385962123
+
+
+def test_is_prime_refuses_what_miller_rabin_does_not_decide():
+    # a prime factor up to 41 still decides it; anything else would need
+    # trial division up to a 13-digit square root
+    assert sympy.isprime(_PRIME_PAST_MILLER_RABIN)
+    assert not is_prime(41 * _PRIME_PAST_MILLER_RABIN)
+    assert not is_prime(2 ** 200)
+    for n in (_PRIME_PAST_MILLER_RABIN, 43 * _PRIME_PAST_MILLER_RABIN, 43 ** 3000):
+        with pytest.raises(ValueError, match="is not decided"):
+            is_prime(n)
 
 
 def test_primes_below():
@@ -262,6 +281,18 @@ def test_valuation_method_exact_past_bound():
                       (FactoredInt({2: 3}), 4), (fi, 10007 * 2), (fi, -2)):
         with pytest.raises(ValueError, match="not a prime"):
             number.valuation(p)
+
+
+def test_valuation_at_a_prime_past_miller_rabin_fails_at_once():
+    # a subprocess, so that a hang times out instead of stalling the suite
+    source = Path(powertree.__file__).resolve().parents[1]
+    script = ("from powertree import FactoredInt; "
+              f"FactoredInt.one().valuation({_PRIME_PAST_MILLER_RABIN})")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": str(source)})
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1].startswith(
+        f"ValueError: primality of {_PRIME_PAST_MILLER_RABIN} is not decided")
 
 
 def test_equality_and_int_conversion():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from powertree import (GroupSpecError, OrderCapError, alternating_group,
-                       build_group, build_power_graph, cyclic_group,
+                       build_group, build_power_graph, compute_kappa, cyclic_group,
                        dihedral_group, direct_product,
                        elementary_abelian_group, psl2_group,
                        quaternion_group, spec_order, symmetric_group)
@@ -25,6 +25,9 @@ TABLE_GROUPS = [
     "psl2:2", "psl2:3", "psl2:5",
     "cyclic:2 x cyclic:4", "sym:3 x cyclic:2",
 ]
+# groups whose power graphs have large blocks that are not complete
+KAPPA_BLOCK_GROUPS = ["quaternion:256", "sym:6", "psl2:13", "alt:6",
+                      "sym:5 x cyclic:3", "alt:6 x cyclic:2"]
 
 
 def _table(group) -> np.ndarray:
@@ -129,6 +132,41 @@ def test_cyclic_subgroups_partition_the_generators(spec):
     for prof, generators in subgroups.items():
         assert generators == [g for g in range(group.n)
                               if group.cyclic_subgroup(g) == prof.subgroup]
+
+
+@pytest.mark.parametrize("spec", TABLE_GROUPS + KAPPA_BLOCK_GROUPS + ["sym:1", "alt:1", "alt:2"])
+def test_cyclic_subgroup_table_matches_the_powers_of_each_element(spec):
+    group = build_group(spec)
+    powers = []  # <a> for each a, from a, a^2, ... by group.mul alone
+    for a in range(group.n):
+        members, x = [group.identity], a
+        while x != group.identity:
+            members.append(x)
+            x = group.mul(x, a)
+        powers.append(frozenset(members))
+    expected: dict[frozenset, list[int]] = {}  # keyed in order of smallest generator
+    for a, members in enumerate(powers):
+        expected.setdefault(members, []).append(a)
+    assert [group.order_of(a) for a in range(group.n)] == [len(m) for m in powers]
+    assert [group.cyclic_subgroup(a) for a in range(group.n)] == powers
+    assert [(prof.order, prof.subgroup, generators)
+            for prof, generators in group.cyclic_subgroups().items()] == [
+        (len(members), members, generators) for members, generators in expected.items()]
+
+
+@pytest.mark.parametrize("spec, labels", [
+    ("sym:1", ["e"]), ("alt:1", ["e"]), ("alt:2", ["e"]), ("sym:2", ["e", "(0 1)"]),
+])
+def test_permutation_groups_of_degree_one_and_two(spec, labels):
+    group = build_group(spec)
+    n = group.n
+    assert [group.element_label(a) for a in range(n)] == labels
+    assert group.identity == 0
+    # on one point the product of the identity with itself is the
+    # identity (0,), not the bare point 0, which the index would not find
+    assert [[group.mul(a, b) for b in range(n)] for a in range(n)] == (
+        [[0]] if n == 1 else [[0, 1], [1, 0]])
+    assert compute_kappa(build_power_graph(group), "auto").kappa.value == 1
 
 
 def test_psl2_orders_and_small_isomorphism_types():
