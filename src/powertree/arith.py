@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -57,13 +58,13 @@ def is_prime(n: int) -> bool:
 
 
 def iter_primes():
-    """Yield 2, 3, 5, 7, 11, ... without bound."""
-    yield 2
-    n = 3
+    """Yield 2, 3, 5, 7, 11, ... without bound, from a sieve whose range
+    doubles each time the primes below it run out."""
+    count, limit = 0, 64
     while True:
-        if is_prime(n):
-            yield n
-        n += 2
+        primes = primes_below(limit)
+        yield from primes[count:]
+        count, limit = len(primes), 2 * limit
 
 
 def primes_below(limit: int) -> list[int]:
@@ -75,7 +76,7 @@ def primes_below(limit: int) -> list[int]:
     for p in range(2, int(limit ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(limit) if sieve[i]]
+    return list(compress(range(limit), sieve))
 
 
 def smallest_prime_power_above(value: int, exponent) -> int:

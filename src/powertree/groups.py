@@ -63,10 +63,12 @@ def _grow(members: set, frontier: list, maps, stop: int | None = None) -> set:
 class FiniteGroup:
     """A finite group whose elements are indices 0..n-1.
 
-    A product multiplies the underlying element objects (permutations,
-    tuples) and looks the result up, so building a group of order n costs n
-    index entries and no products. The routines the claims use are sized by
-    the generating set: about n*|gens| products each.
+    A product multiplies the underlying element objects and looks the
+    result up: permutations compose by one itemgetter call, and (Z_p)^k's
+    integers, one bit field per coordinate, add with one carry mask and one
+    subtraction (elementary_abelian_group). Building a group of order n
+    costs n index entries and no products. The routines the claims use are
+    sized by the generating set: about n*|gens| products each.
     """
 
     def __init__(self, label, elements, mul_elem, identity: int, repr_elem=None):
@@ -372,14 +374,30 @@ def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
+    """(Z_p)^k on integers: digit c_i sits in a field of w bits, c_0 highest.
+
+    With w = bitlen(2p - 2) + 1, a field sum is at most 2p - 2 < 2^(w-1), so
+    u + v carries into no neighbour. Adding lift's 2^(w-1) - p to every
+    field sets its top (guard) bit exactly where the sum reached p, and
+    still carries nowhere; the guard bits, shifted down to the fields' lowest
+    bits, say where to subtract p. The integers sort as the digit tuples
+    of itertools.product do, so the element indices follow product order.
+    """
     _elementary_abelian_order(p, k)
-    elements = list(itertools.product(range(p), repeat=k))
+    w = (2 * p - 2).bit_length() + 1
+    ones = sum(1 << (w * i) for i in range(k))
+    lift = ones * ((1 << (w - 1)) - p)
+    digit = (1 << w) - 1
+    elements = [0]
+    for _ in range(k):
+        elements = [g << w | c for g in elements for c in range(p)]
 
     def mul(u, v):
-        return tuple((a + b) % p for a, b in zip(u, v))
+        s = u + v
+        return s - ((s + lift) >> (w - 1) & ones) * p
 
     def label(g):
-        return "(" + ",".join(map(str, g)) + ")"
+        return "(" + ",".join(str(g >> (w * i) & digit) for i in reversed(range(k))) + ")"
 
     return FiniteGroup(f"elemabelian:{p}:{k}", elements, mul, 0, label)
 
@@ -552,7 +570,8 @@ def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
 
 # -- spec grammar --
 
-_ATOM_RE = re.compile(r"([a-z0-9]+):(\d+)(?::(\d+))?\Z")
+# [0-9], not \d: \d also matches other Unicode digits, which int() would accept
+_ATOM_RE = re.compile(r"([a-z0-9]+):([0-9]+)(?::([0-9]+))?\Z")
 
 # family -> (order function, constructor); both take the atom's parameters
 _FAMILIES = {

@@ -1,4 +1,5 @@
 """Command-line interface behavior, output formats, and exit codes."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -148,6 +149,21 @@ def test_export_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["n"] == 8
     assert len(payload["edges"]) == 16
+
+
+# sha256 of the JSON export, frozen from the digit-tuple (Z_p)^k that the bit fields replaced
+EXPORT_DIGESTS = {
+    "elemabelian:3:2": "cfba5c361d86148c6491588db3847c36c219701a3a6ef123f752c76bf662e31a",
+    "elemabelian:2:3 x cyclic:3":
+        "d5571c099d8e0285f49e8ac85ec92966329f2ef0112bf21a28c88c00be259325",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(EXPORT_DIGESTS))
+def test_export_json_is_pinned(capsys, spec):
+    assert main(["export", spec]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_DIGESTS[spec]
 
 
 def test_export_dot(capsys, tmp_path):

@@ -1,4 +1,5 @@
 """Number-theory helpers and integers carried with their factorizations."""
+import itertools
 import random
 import subprocess
 import sys
@@ -54,6 +55,11 @@ def test_primes_below():
 def test_iter_primes_prefix():
     it = iter_primes()
     assert [next(it) for _ in range(10)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_iter_primes_across_many_sieve_doublings():
+    below = itertools.takewhile(lambda p: p < 10 ** 5, iter_primes())
+    assert list(below) == list(sympy.primerange(0, 10 ** 5))
 
 
 @pytest.mark.parametrize("exponent", [lambda p: p - 2, lambda p: (p - 2) * (p + 1)])

@@ -1,5 +1,6 @@
 """Group construction, element orders, spectra, and the spec grammar."""
 import hashlib
+import itertools
 import random
 from collections import Counter
 from math import gcd, lcm
@@ -226,6 +227,56 @@ def test_psl2_element_lists_are_pinned(q):
     assert hashlib.sha256(labels.encode()).hexdigest() == PSL2_ELEMENT_DIGESTS[q]
 
 
+def _tuple_elementary_abelian(p, k):
+    """(Z_p)^k on digit tuples in itertools.product order, added mod p."""
+    elements = list(itertools.product(range(p), repeat=k))
+    index = {t: i for i, t in enumerate(elements)}
+
+    def mul(a, b):
+        return index[tuple((x + y) % p for x, y in zip(elements[a], elements[b]))]
+
+    return elements, mul
+
+
+# every (p, k) with p^k <= 729 for p in 2, 3, 5, 7; 2p - 2 is a power of two
+# for p = 2, 3 and 5, so the sum p - 1 + p - 1 fills its field's lower bits
+SMALL_ELEMENTARY_ABELIAN = [(p, k) for p in (2, 3, 5, 7) for k in range(1, 10)
+                            if p ** k <= 729]
+
+
+@pytest.mark.parametrize("p,k", SMALL_ELEMENTARY_ABELIAN)
+def test_elementary_abelian_products_match_tuple_addition(p, k):
+    group = elementary_abelian_group(p, k)
+    elements, mul = _tuple_elementary_abelian(p, k)
+    assert group.n == len(elements) and group.identity == 0
+    for a in range(group.n):
+        assert [group.mul(a, b) for b in range(group.n)] == [mul(a, b) for b in range(group.n)]
+
+
+# too large for all pairs: random pairs only
+LARGE_ELEMENTARY_ABELIAN = [(17, 1), (17, 2), (43, 1), (43, 2), (1999, 1)]
+
+
+@pytest.mark.parametrize("p,k", SMALL_ELEMENTARY_ABELIAN + LARGE_ELEMENTARY_ABELIAN)
+def test_elementary_abelian_labels_in_product_order(p, k):
+    group = elementary_abelian_group(p, k)
+    elements, _ = _tuple_elementary_abelian(p, k)
+    assert [group.element_label(g) for g in range(group.n)] == [
+        "(" + ",".join(map(str, t)) + ")" for t in elements]
+    assert group.element_label(group.identity) == "(" + ",".join("0" * k) + ")"
+
+
+@pytest.mark.parametrize("p,k", LARGE_ELEMENTARY_ABELIAN)
+def test_elementary_abelian_products_on_random_pairs(p, k):
+    group = build_group(f"elemabelian:{p}:{k}")
+    _, mul = _tuple_elementary_abelian(p, k)
+    rng = random.Random(p ** k)
+    for _ in range(5000):
+        a, b = rng.randrange(group.n), rng.randrange(group.n)
+        assert group.mul(a, b) == mul(a, b)
+    assert all(group.mul(0, a) == a for a in range(group.n))
+
+
 def test_is_abelian():
     for spec in ["cyclic:30", "elemabelian:3:3", "dihedral:4", "cyclic:2 x cyclic:4"]:
         assert build_group(spec).is_abelian()
@@ -420,6 +471,8 @@ BAD_PARAMETERS = {
     "frobnicate:7", "cyclic:abc", "cyclic", "dihedral:7", "quaternion:6",
     "quaternion:4", "elemabelian:4:2", "elemabelian:3", "cyclic:3:4",
     "psl2:6", "cyclic:0", "", "cyclic:2 x  x cyclic:3", "sym:0", "alt:0",
+    # Arabic-Indic three: a Unicode digit that int() reads as 3
+    "cyclic:\u0663", "elemabelian:2:\u0663",
 ])
 def test_grammar_rejects_bad_specs(spec):
     with pytest.raises(GroupSpecError):
