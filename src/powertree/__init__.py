@@ -27,7 +27,7 @@ from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
 from .determinant import det_bareiss, ones_plus_laplacian
 from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
                           SimpleGroupFact, recognize)
-from .treecount import (ENGINES, KappaReport, VertexLimitError, closed_form_psl2,
+from .treecount import (KappaReport, VertexLimitError, closed_form_psl2,
                         closed_form_quaternion, compute_kappa,
                         kappa_decomposed, kappa_matrix_tree)
 
@@ -37,7 +37,6 @@ __all__ = [
     "DEFAULT_FACTOR_BOUND",
     "DEFAULT_ORDER_CAP",
     "CLAIM_IDS",
-    "ENGINES",
     "SUCCESS_VERDICT",
     "Component",
     "ComponentDecomposition",

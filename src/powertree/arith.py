@@ -209,8 +209,7 @@ class FactoredInt:
     Primes up to the construction bound are split into ``factors``; whatever
     remains (coprime to every prime below the bound) sits in ``cofactor``.
     Products and powers add and scale exponents; ``value`` multiplies the
-    factorization out once, the first time it is read. The one non-positive
-    value is ``zero()``, the tree count of a disconnected graph.
+    factorization out once, the first time it is read.
     """
 
     factors: dict[int, int] = field(default_factory=dict)
@@ -243,16 +242,7 @@ class FactoredInt:
             for p, e in item.factors.items():
                 factors[p] = factors.get(p, 0) + e
             cofactor *= item.cofactor
-        return cls(factors, cofactor) if cofactor else cls.zero()
-
-    @classmethod
-    def zero(cls) -> FactoredInt:
-        """Zero, held as cofactor 0: the constructor refuses it, so that no
-        factorization comes out zero by mistake."""
-        zero = object.__new__(cls)
-        object.__setattr__(zero, "factors", {})
-        object.__setattr__(zero, "cofactor", 0)
-        return zero
+        return cls(factors, cofactor)
 
     @classmethod
     def from_int(cls, value: int, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
@@ -342,7 +332,7 @@ class FactoredInt:
             raise ValueError("negative powers leave the integers")
         if exponent == 0:
             return FactoredInt.one()
-        if exponent == 1 or not self.cofactor:
+        if exponent == 1:
             return self
         return FactoredInt({p: e * exponent for p, e in self.factors.items()},
                            self.cofactor ** exponent)

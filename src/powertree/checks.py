@@ -10,8 +10,8 @@ import importlib.resources
 from dataclasses import dataclass
 from pathlib import Path
 
-from .arith import (DEFAULT_FACTOR_BOUND, FactoredInt, decimal_short, euler_phi,
-                    is_prime, prime_power, smallest_prime_power_above)
+from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
+                    euler_phi, is_prime, prime_power, smallest_prime_power_above)
 from .determinant import twin_class_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
@@ -85,15 +85,29 @@ class GroupBundle:
         is read as an integer, at a factor bound of 1: nothing is trial-divided."""
         if self._det_jq is None:
             n = self.graph.n
-            count = twin_class_kappa(self.graph.rows, range(n), factor_bound=1)
-            self._det_jq = n * n * count.value
+            det_jq = n * n * twin_class_kappa(self.graph.rows, range(n), factor_bound=1).value
+            self._compare(det_jq, self._kappa)
+            self._det_jq = det_jq
         return self._det_jq
 
     @property
     def kappa(self) -> FactoredInt:
         if self._kappa is None:
-            self._kappa = kappa_decomposed(self.graph, self.factor_bound)
+            kappa = kappa_decomposed(self.graph, self.factor_bound)
+            self._compare(self._det_jq, kappa)
+            self._kappa = kappa
         return self._kappa
+
+    def _compare(self, det_jq, kappa) -> None:
+        """Once both routes have run, det(J + Q) must equal n^2 * kappa; neither
+        is computed only to check the other."""
+        if det_jq is None or kappa is None:
+            return
+        n = self.graph.n
+        if det_jq != n * n * kappa.value:
+            raise ExactnessError(
+                f"{self.label}: det(J+Q) = {decimal_short(det_jq)} is not "
+                f"{n}^2 * kappa = {decimal_short(n * n * kappa.value)}")
 
 
 def _as_bundle(source) -> GroupBundle:

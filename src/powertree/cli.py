@@ -11,13 +11,10 @@ from .checks import CLAIM_IDS, load_manifest, run_verifications
 from .graphs import build_power_graph, component_decomposition, to_dot, to_json
 from .groups import DEFAULT_ORDER_CAP, build_group
 from .recognition import recognize
-from .treecount import ENGINES, compute_kappa
+from .treecount import compute_kappa
 
 
-def _add_common(sub, engine=False, factor_bound=False, order_cap=False, as_json=False):
-    if engine:
-        sub.add_argument("--engine", choices=ENGINES, default="auto",
-                         help="counting engine")
+def _add_common(sub, factor_bound=False, order_cap=False, as_json=False):
     if factor_bound:
         sub.add_argument("--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND,
                          metavar="N", help="trial-division bound for factoring counts")
@@ -37,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kappa = sub.add_parser("kappa", help="count spanning trees of a power graph")
     kappa.add_argument("group", help="group spec, e.g. 'quaternion:8'")
-    _add_common(kappa, engine=True, factor_bound=True, order_cap=True, as_json=True)
+    _add_common(kappa, factor_bound=True, order_cap=True, as_json=True)
 
     comp = sub.add_parser("components", help="components of the reduced power graph")
     comp.add_argument("group")
@@ -69,13 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_kappa(args) -> int:
     group = build_group(args.group, args.order_cap)
     graph = build_power_graph(group)
-    report = compute_kappa(graph, args.engine, args.factor_bound)
+    report = compute_kappa(graph, factor_bound=args.factor_bound)
     print(f"engine time: {report.wall_time:.3f}s", file=sys.stderr)
     if args.json:
         payload = {
             "group": group.label,
             "kappa": str(report.kappa),
-            "engine": report.engine,
             "cross_checked": report.cross_checked,
         }
         print(json.dumps(payload, indent=2))

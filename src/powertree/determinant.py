@@ -143,8 +143,8 @@ def twin_class_kappa(rows, vertices, root=None,
     diagonal over the blocks through that vertex, so the elimination makes
     no fill between them and the count is the product of theirs. In a power
     graph the generators of one cyclic subgroup are closed twins. A
-    disconnected subgraph has no spanning tree, and its count is
-    `FactoredInt.zero()`.
+    disconnected subgraph has two or more classes and a singular S L', which
+    the elimination meets as a zero pivot, and it raises ValueError.
 
     The count comes back factored under `factor_bound`, and only
     det(S L') / prod_i s_i is trial-divided whole: each distinct closed degree
@@ -156,8 +156,8 @@ def twin_class_kappa(rows, vertices, root=None,
     factorization, that of s.
 
     An empty vertex list, a negative, repeated or out-of-range vertex, or a
-    `root` outside `vertices` raises ValueError. A det(S L') not divisible by
-    prod_i s_i raises ExactnessError.
+    `root` outside `vertices` raises ValueError, as a disconnected subgraph
+    does. A det(S L') not divisible by prod_i s_i raises ExactnessError.
     """
     vertices = list(vertices)
     if not vertices:
@@ -198,7 +198,7 @@ def twin_class_kappa(rows, vertices, root=None,
     root_size = classes.pop(root_key)[0]
     det = _det_class_laplacian(classes, root_size)
     if not det:
-        return FactoredInt.zero()
+        raise ValueError("spanning-tree count requires a connected graph")
     return FactoredInt.product(
         [FactoredInt.from_int(det, factor_bound)]
         + [FactoredInt.from_int(k, factor_bound) ** e for k, e in exponents.items()])

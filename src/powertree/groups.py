@@ -9,7 +9,7 @@ from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
 
-from .arith import prime_factors, prime_power
+from .arith import parse_decimal, prime_factors, prime_power
 
 DEFAULT_ORDER_CAP = 2000
 
@@ -370,7 +370,9 @@ def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
     fac = prime_power(p)
     if fac is None or fac[1] != 1:
         raise GroupSpecError(f"elemabelian base {p} is not prime")
-    return _capped_product(itertools.repeat(p, k), cap)
+    if cap is not None:
+        k = min(k, cap.bit_length())  # p >= 2, so p^bitlen(cap) > cap already
+    return p ** k
 
 
 def elementary_abelian_group(p: int, k: int) -> FiniteGroup:
@@ -570,7 +572,8 @@ def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:
 
 # -- spec grammar --
 
-# [0-9], not \d: \d also matches other Unicode digits, which int() would accept
+# [0-9], not \d: \d also matches other Unicode digits, which parse_decimal
+# refuses with an untyped ValueError
 _ATOM_RE = re.compile(r"([a-z0-9]+):([0-9]+)(?::([0-9]+))?\Z")
 
 # family -> (order function, constructor); both take the atom's parameters
@@ -589,8 +592,8 @@ def _parse_atom(token: str) -> tuple[str, tuple[int, ...]]:
     m = _ATOM_RE.match(token)
     if not m:
         raise GroupSpecError(f"cannot parse group spec atom {token!r}")
-    family, first, second = m.group(1), int(m.group(2)), m.group(3)
-    second = int(second) if second is not None else None
+    family, first, second = m.group(1), parse_decimal(m.group(2)), m.group(3)
+    second = parse_decimal(second) if second is not None else None
     if family not in _FAMILIES:
         raise GroupSpecError(f"unknown group family {family!r} in {token!r}")
     if family == "elemabelian":

@@ -1,5 +1,6 @@
 """Spanning-tree counts by the deletion-contraction recurrence: the one
-determinant-free oracle the tests compare the library's engines against.
+determinant-free oracle the tests compare the library's count
+(``kappa_decomposed``) and its dense reference (``kappa_matrix_tree``) against.
 
 The recurrence is exponential, so it is limited to DC_VERTEX_LIMIT vertices.
 Its refusals raise, never assert, because the tests that import it also run
@@ -79,7 +80,7 @@ def _contract(vertices, edges, edge):
 def kappa_deletion_contraction(graph: Graph) -> FactoredInt:
     """Spanning-tree count by the deletion-contraction recurrence, limited to
     DC_VERTEX_LIMIT vertices. An empty or disconnected graph raises ValueError,
-    as the library's engines do."""
+    as every count in the library does."""
     if graph.n > DC_VERTEX_LIMIT:
         raise VertexLimitError(
             f"deletion-contraction is limited to {DC_VERTEX_LIMIT} vertices, got {graph.n}"

@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from powertree import (ENGINES, SUCCESS_VERDICT, FactoredInt, Graph, build_group,
+from powertree import (SUCCESS_VERDICT, FactoredInt, Graph, build_group,
                        build_power_graph, closed_form_psl2,
                        closed_form_quaternion, component_decomposition,
                        compute_kappa, det_bareiss, kappa_matrix_tree,
@@ -74,8 +74,8 @@ def test_criterion_02_cyclic_prime_powers():
         for n in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27):
             graph = build_power_graph(build_group(f"cyclic:{n}"))
             expected = n ** (n - 2)
-            for engine in ENGINES:
-                assert compute_kappa(graph, engine).kappa.value == expected
+            assert compute_kappa(graph).kappa.value == expected
+            assert kappa_matrix_tree(graph).value == expected
             if n <= DC_VERTEX_LIMIT:
                 assert kappa_deletion_contraction(graph).value == expected
         assert time.perf_counter() - start < 5.0
@@ -86,8 +86,8 @@ def test_criterion_03_alternating_five_by_two_engines():
         start = time.perf_counter()
         graph = build_power_graph(build_group("alt:5"))
         expected = FactoredInt.parse("3^10*5^18")
-        assert compute_kappa(graph, "matrix_tree").kappa == expected
-        assert compute_kappa(graph, "auto").kappa == expected
+        assert kappa_matrix_tree(graph) == expected
+        assert compute_kappa(graph).kappa == expected
         assert time.perf_counter() - start < 10.0
 
 
@@ -99,7 +99,7 @@ def test_criterion_04_simple_groups_of_order_168_and_360():
         ]:
             start = time.perf_counter()
             graph = build_power_graph(build_group(spec))
-            report = compute_kappa(graph, "auto")
+            report = compute_kappa(graph)
             assert report.kappa == FactoredInt.parse(literal)
             assert time.perf_counter() - start < 60.0
 
@@ -109,10 +109,10 @@ def test_criterion_05_psl2_closed_form_matches_engines():
         start = time.perf_counter()
         for q in (4, 5, 7, 8, 9, 11):
             graph = build_power_graph(build_group(f"psl2:{q}"))
-            engine = compute_kappa(graph, "auto").kappa
+            counted = compute_kappa(graph).kappa
             closed = closed_form_psl2(q)
-            assert closed == engine
-            assert closed.factors == engine.factors
+            assert closed == counted
+            assert closed.factors == counted.factors
         assert time.perf_counter() - start < 300.0
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import powertree
-from powertree import ENGINES
 from powertree.checks import VerificationResult
 from powertree.cli import main
 
@@ -25,16 +24,18 @@ def test_kappa_of_trivial_group(capsys):
     assert capsys.readouterr().out == "kappa = 1\n"
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_kappa_engines_agree_through_the_cli(capsys, engine):
-    assert main(["kappa", "cyclic:6", "--engine", engine]) == 0
+def test_kappa_through_the_cli(capsys):
+    assert main(["kappa", "cyclic:6"]) == 0
     assert capsys.readouterr().out == "kappa = 2^2*3^3*5\n"
 
 
-def test_engine_choices_are_the_library_engines(capsys):
+def test_kappa_help_has_no_engine_option(capsys):
+    # one counting route: there is no engine to choose
     with pytest.raises(SystemExit):
         main(["kappa", "--help"])
-    assert "--engine {" + ",".join(ENGINES) + "}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--factor-bound" in out
+    assert "--engine" not in out
 
 
 def test_kappa_output_is_deterministic(capsys):
@@ -48,8 +49,8 @@ def test_kappa_json(capsys):
     assert main(["kappa", "quaternion:8", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["group"] == "quaternion:8"
+    assert list(payload) == ["group", "kappa", "cross_checked"]
     assert payload["kappa"] == "2^11"
-    assert payload["engine"] == "auto"
     assert payload["cross_checked"] is True
 
 
@@ -256,16 +257,12 @@ def test_order_cap_enforced(capsys):
     assert "group 'sym:2000' has order above the cap 2000" in capsys.readouterr().err
 
 
-def test_engine_preconditions_fail_cleanly(capsys):
-    assert main(["kappa", "cyclic:257", "--engine", "matrix_tree"]) == 2
-    assert "limited to 256 vertices, got 257" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("argv", [
     [], ["kappa"], ["recognize"], ["kappa", "cyclic:6", "--engine", "bogus"],
     ["verify", "--claim", "bogus"], ["bogus-command"],
     ["kappa", "cyclic:6", "--engine", "crt"], ["kappa", "cyclic:6", "--engine", "dc"],
     ["kappa", "cyclic:12", "--engine", "deletion_contraction"],
+    ["kappa", "cyclic:6", "--engine", "auto"], ["kappa", "cyclic:6", "--engine", "matrix_tree"],
 ])
 def test_usage_errors_exit_two(argv):
     with pytest.raises(SystemExit) as info:

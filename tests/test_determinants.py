@@ -232,14 +232,18 @@ def twin_graphs(draw, max_classes=6, max_size=4):
 @settings(max_examples=60, deadline=None)
 @given(twin_graphs())
 def test_twin_quotient_matches_full_determinants(graph):
-    # det(J + Q) = n^2 * kappa, whichever class the class Laplacian is rooted at
+    # det(J + Q) = n^2 * kappa, whichever class the class Laplacian is rooted at;
+    # a disconnected graph (det(J + Q) = 0) raises from every root
     matrix = ones_plus_laplacian(graph)
     expected = int(sympy.Matrix(matrix).det())
     assert det_bareiss(matrix) == expected
     n2 = graph.n * graph.n
-    assert n2 * twin_class_kappa(graph.rows, range(graph.n)).value == expected
-    for root in range(graph.n):
-        assert n2 * twin_class_kappa(graph.rows, range(graph.n), root).value == expected
+    for root in (None, *range(graph.n)):
+        if expected:
+            assert n2 * twin_class_kappa(graph.rows, range(graph.n), root).value == expected
+        else:
+            with pytest.raises(ValueError, match="requires a connected graph"):
+                twin_class_kappa(graph.rows, range(graph.n), root)
 
 
 @settings(max_examples=60, deadline=None)
@@ -257,6 +261,10 @@ def test_twin_quotient_on_induced_subgraphs(graph, data):
     ])
     expected = det_bareiss(ones_plus_laplacian(induced))
     root = data.draw(st.sampled_from(vertices))
+    if not expected:  # a disconnected induced subgraph
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            twin_class_kappa(graph.rows, vertices, root)
+        return
     assert len(vertices) ** 2 * twin_class_kappa(graph.rows, vertices, root).value == expected
 
 

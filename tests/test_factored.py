@@ -253,17 +253,6 @@ def test_multiplication_and_powers():
     assert FactoredInt.product([]) == 1
 
 
-def test_zero_is_the_count_of_a_disconnected_graph():
-    zero = FactoredInt.zero()
-    assert zero.value == 0 and str(zero) == "0" and not zero.fully_factored
-    a = FactoredInt.from_int(12)
-    assert (a * zero).value == (zero * a).value == (zero ** 3).value == 0
-    assert (zero ** 0).value == 1
-    assert FactoredInt.product([a, zero, a]).value == 0
-    with pytest.raises(ValueError):
-        zero.valuation(2)
-
-
 def test_arithmetic_leaves_the_value_unmultiplied():
     a6 = FactoredInt.parse("2^180*3^40*5^108")
     big = a6 ** 10 ** 6 * FactoredInt.from_int(7 * 10007, bound=100)

@@ -167,7 +167,7 @@ def test_permutation_groups_of_degree_one_and_two(spec, labels):
     # identity (0,), not the bare point 0, which the index would not find
     assert [[group.mul(a, b) for b in range(n)] for a in range(n)] == (
         [[0]] if n == 1 else [[0, 1], [1, 0]])
-    assert compute_kappa(build_power_graph(group), "auto").kappa.value == 1
+    assert compute_kappa(build_power_graph(group)).kappa.value == 1
 
 
 def test_psl2_orders_and_small_isomorphism_types():
@@ -497,9 +497,15 @@ def test_order_cap():
 @pytest.mark.parametrize("spec", [
     "sym:1000000", "elemabelian:2:100000000", "cyclic:2 x sym:1000000",
     "psl2:1000000000000000000000007", "elemabelian:1000000000000000000000007:1",
+    # a rank of 2^63 or more, past what itertools.repeat accepts as a count
+    "elemabelian:2:99999999999999999999",
+    # parameters past Python's 4300-digit str-to-int limit
+    pytest.param("cyclic:" + "9" * 5000, id="cyclic:9x5000"),
+    pytest.param("elemabelian:2:" + "9" * 5000, id="elemabelian:2:9x5000"),
+    pytest.param("psl2:" + "9" * 5000, id="psl2:9x5000"),
 ])
 def test_over_cap_specs_are_rejected_without_their_order(spec):
-    # multiplied out, these orders have millions of digits; the prime
+    # multiplied out, these orders have millions of digits or more; the prime
     # parameters would take about 10^12 trial divisions to validate
     with pytest.raises(OrderCapError, match="above the cap 2000"):
         build_group(spec)
@@ -507,7 +513,8 @@ def test_over_cap_specs_are_rejected_without_their_order(spec):
 
 
 def test_capped_spec_order():
-    for spec in ["sym:7", "alt:7", "elemabelian:3:7", "psl2:13", "sym:3 x alt:5", "alt:2"]:
+    for spec in ["sym:7", "alt:7", "elemabelian:3:7", "elemabelian:2:11", "psl2:13",
+                 "sym:3 x alt:5", "alt:2"]:
         exact = spec_order(spec)
         for cap in (1, exact - 1, exact, exact + 1, 10 ** 6):
             capped = spec_order(spec, cap=cap)

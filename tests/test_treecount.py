@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertree
-from powertree import (DEFAULT_FACTOR_BOUND, ENGINES, FactoredInt, Graph, GroupBundle,
-                       VertexLimitError, build_group, build_power_graph,
+from powertree import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, Graph, GroupBundle,
+                       VertexLimitError, build_group, build_power_graph, checks,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
                        det_bareiss, kappa_decomposed, kappa_matrix_tree, load_manifest,
                        ones_plus_laplacian, spec_order, treecount)
@@ -144,6 +144,21 @@ def test_disconnected_graphs_rejected():
             count(Graph(0))
 
 
+def test_every_count_refuses_a_disconnected_graph():
+    # two disjoint edges are two closed-twin classes with no edge between them:
+    # the class elimination meets a zero pivot, and det(J + Q) is 0
+    graph = Graph.from_edges(4, [(0, 1), (2, 3)])
+    for count in (kappa_matrix_tree, kappa_decomposed,
+                  lambda g: twin_class_kappa(g.rows, range(g.n))):
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            count(graph)
+    # a disconnected induced subgraph of a connected graph, rooted or not
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    for root in (None, 2):
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            twin_class_kappa(path.rows, [0, 2], root)
+
+
 def test_deletion_contraction_size_limit():
     n = DC_VERTEX_LIMIT
     with pytest.raises(VertexLimitError):
@@ -155,29 +170,42 @@ def test_deletion_contraction_size_limit():
 def test_matrix_tree_size_limit():
     n = treecount.MATRIX_TREE_VERTEX_LIMIT + 1
     path = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-    with pytest.raises(VertexLimitError):
+    with pytest.raises(VertexLimitError, match="limited to 256 vertices, got 257"):
         kappa_matrix_tree(path)
-    with pytest.raises(VertexLimitError):
-        compute_kappa(path, "matrix_tree")
     assert compute_kappa(path).kappa.value == 1
 
 
 def test_engine_selection_and_reports():
     graph = _power_graph("cyclic:6")
     report = compute_kappa(graph)
-    assert report.engine == "auto"
+    assert report.kappa.value == 540
     assert report.cross_checked  # 6 vertices, so the matrix-tree check ran
     assert report.wall_time >= 0
-    for engine in ENGINES:
-        report = compute_kappa(graph, engine)
-        assert report.kappa.value == 540
-        assert report.engine == engine
+    assert compute_kappa(graph, "auto").kappa.value == 540
     assert compute_kappa(_power_graph("cyclic:12")).kappa.value == 7823278080
     big = _power_graph("sym:5")
     assert not compute_kappa(big).cross_checked
-    for removed in ("bogus", "crt", "decomposition", "deletion_contraction"):
+    for removed in ("bogus", "crt", "decomposition", "deletion_contraction", "matrix_tree"):
         with pytest.raises(ValueError):
             compute_kappa(graph, removed)
+
+
+def test_bundle_compares_its_two_routes(monkeypatch):
+    # det(J + Q) and kappa come from two eliminations; whichever the bundle
+    # computes second is compared with the first
+    bundle = GroupBundle("cyclic:6")
+    monkeypatch.setattr(checks, "kappa_decomposed", lambda *args: pytest.fail("kappa computed"))
+    assert bundle.det_jq == 6 ** 2 * 540  # det(J + Q) alone computes no kappa
+    monkeypatch.setattr(checks, "kappa_decomposed", lambda *args: FactoredInt.from_int(541))
+    with pytest.raises(ExactnessError, match=r"is not 6\^2 \* kappa"):
+        bundle.kappa
+    monkeypatch.undo()
+    bundle = GroupBundle("cyclic:6")
+    assert bundle.kappa.value == 540
+    monkeypatch.setattr(checks, "twin_class_kappa",
+                        lambda *args, **kwargs: FactoredInt.from_int(541))
+    with pytest.raises(ExactnessError, match=r"is not 6\^2 \* kappa"):
+        bundle.det_jq
 
 
 def test_alternating_five_count():
@@ -395,7 +423,7 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     if __debug__:
         raise SystemExit("assertions are still enabled")
     from powertree import FactoredInt, Graph, build_group, build_power_graph
-    from powertree import determinant, treecount
+    from powertree import checks, determinant, treecount
     from powertree.determinant import ExactnessError
 
     path = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -413,6 +441,11 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     treecount.kappa_matrix_tree = lambda *args: FactoredInt.one()
     print("cross-check", raises(lambda: treecount.compute_kappa(graph)))
     treecount.kappa_matrix_tree = real
+    # a bundle whose kappa disagrees with its det(J + Q)
+    bundle = checks.GroupBundle("cyclic:6")
+    bundle.det_jq
+    checks.kappa_decomposed = lambda *args: FactoredInt.from_int(541)
+    print("det-jq", raises(lambda: bundle.kappa))
     # an elimination not divisible by the product of the class sizes: the paw's
     # root class {0, 1} has size 2 and closed degree 3, its others size 1
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -434,8 +467,9 @@ def test_exactness_checks_survive_python_optimisation():
                           capture_output=True, text=True, timeout=60,
                           env={"PYTHONPATH": str(source)})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["cross-check", "True", "class-laplacian", "True",
-                                   "class-laplacian-cofactor", "True", "matrix-tree", "True"]
+    assert done.stdout.split() == ["cross-check", "True", "det-jq", "True",
+                                   "class-laplacian", "True", "class-laplacian-cofactor", "True",
+                                   "matrix-tree", "True"]
 
 
 def test_counting_does_not_import_numpy():
