@@ -253,7 +253,10 @@ class FactoredInt:
 
     @classmethod
     def parse(cls, text: str, bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-        """Parse literals like ``2^180*3^40*5^108`` (ascending primes, optional cofactor)."""
+        """Parse literals like ``2^180*3^40*5^108`` (ascending primes, optional cofactor).
+
+        A trailing cofactor must have no prime factor up to `bound`; one that
+        ``is_prime`` proves prime is taken without trial division."""
         s = text.strip()
         if not s:
             raise ValueError("empty factored-integer literal")
@@ -284,7 +287,10 @@ class FactoredInt:
                         raise ValueError(f"cofactor token {token!r} must come last")
                     if p < 2:
                         raise ValueError(f"malformed cofactor token {token!r}")
-                    if trial_divide(p, bound)[0]:
+                    # a prime cofactor, which Miller-Rabin proves far faster
+                    # than trial division up to the bound, has no factor below it
+                    is_proven_prime = p < _MILLER_RABIN_LIMIT and is_prime(p)
+                    if not is_proven_prime and trial_divide(p, bound)[0]:
                         raise ValueError(
                             f"cofactor token {token!r} has a prime factor below {bound}"
                         )

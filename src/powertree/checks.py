@@ -81,11 +81,14 @@ class GroupBundle:
     def det_jq(self) -> int:
         """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
         rooted at a class of smallest closed degree: a different elimination
-        from the one ``kappa`` runs rooted at the identity's class. The count
-        is read as an integer, at a factor bound of 1: nothing is trial-divided."""
+        from the one ``kappa`` runs rooted at the identity's class, keyed, as
+        that one is, by the graph's twin sets. The count is read as an
+        integer, at a factor bound of 1: nothing is trial-divided."""
         if self._det_jq is None:
-            n = self.graph.n
-            det_jq = n * n * twin_class_kappa(self.graph.rows, range(n), factor_bound=1).value
+            graph = self.graph
+            n = graph.n
+            det_jq = n * n * twin_class_kappa(graph.rows, range(n), factor_bound=1,
+                                              twins=graph.twin_sets).value
             self._compare(det_jq, self._kappa)
             self._det_jq = det_jq
         return self._det_jq

@@ -116,7 +116,7 @@ def det_sparse_symmetric(diag, off) -> int:
 
 
 def twin_class_kappa(rows, vertices, root=None,
-                     factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
+                     factor_bound: int = DEFAULT_FACTOR_BOUND, *, twins=None) -> FactoredInt:
     """Spanning-tree count of the subgraph induced on `vertices`, from bitset adjacency rows.
 
     Vertices with equal closed neighbourhoods (closed twins) form classes C_i,
@@ -134,15 +134,24 @@ def twin_class_kappa(rows, vertices, root=None,
     and 0 otherwise, as sparse as the class graph. det(S L') sums
     prod_i s_i^deg_T(i) over the spanning trees T of the class graph, so with
     two or more classes prod_i s_i, the root's size included, divides it.
+
+    `twins`, if given, partitions `vertices` into lists of closed twins, each
+    in ascending order (a power graph's `twin_sets`, one list per cyclic
+    subgroup). The classes are found by keying each list once, by the closed
+    neighbourhood of its first member, and adding the list's size to that
+    class; without `twins` every vertex is its own list. The partition is
+    trusted to hold closed twins: only its sizes are checked. With the lists
+    in order of their first members, as a power graph's are, each class's
+    representative is its smallest vertex and the classes come in order of
+    it, exactly as the vertices one by one give them.
     The classes are sorted once by closed degree, ascending, ties kept in the
-    order of their first vertices, and `det_sparse_symmetric` eliminates S L'
-    in that order: a class of small closed degree has few neighbours, so
-    eliminating it early makes little fill. The root class is that of the
+    order of their representatives, and `det_sparse_symmetric` eliminates
+    S L' in that order: a class of small closed degree has few neighbours,
+    so eliminating it early makes little fill. The root class is that of the
     vertex `root`, or else the first class in that order. Rooted at a vertex
     adjacent to all others (the identity of a power graph), S L' is block
     diagonal over the blocks through that vertex, so the elimination makes
-    no fill between them and the count is the product of theirs. In a power
-    graph the generators of one cyclic subgroup are closed twins. A
+    no fill between them and the count is the product of theirs. A
     disconnected subgraph has two or more classes and a singular S L', which
     the elimination meets as a zero pivot, and it raises ValueError.
 
@@ -155,33 +164,49 @@ def twin_class_kappa(rows, vertices, root=None,
     leaves no L' to eliminate: its count s^(s - 2) (Cayley) takes one
     factorization, that of s.
 
-    An empty vertex list, a negative, repeated or out-of-range vertex, or a
-    `root` outside `vertices` raises ValueError, as a disconnected subgraph
-    does. A det(S L') not divisible by prod_i s_i raises ExactnessError.
+    An empty vertex list, a negative, repeated or out-of-range vertex, a
+    `root` outside `vertices`, or a `twins` with an empty list or with sizes
+    that do not add up to the number of vertices raises ValueError, as a
+    disconnected subgraph does. A det(S L') not divisible by prod_i s_i
+    raises ExactnessError.
     """
-    vertices = list(vertices)
+    if not isinstance(vertices, range):
+        vertices = list(vertices)
     if not vertices:
         raise ValueError("spanning-tree count of a graph with no vertices")
-    if min(vertices) < 0:
-        raise ValueError(f"vertex {min(vertices)} is negative")
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    if mask >> len(rows):
-        raise ValueError(f"vertex {max(vertices)} is outside the graph's {len(rows)} vertices")
-    if mask.bit_count() != len(vertices):
-        raise ValueError(f"{len(vertices)} vertices are listed but only "
-                         f"{mask.bit_count()} are distinct")
+    if vertices == range(len(rows)):  # the whole graph
+        mask = (1 << len(rows)) - 1
+    else:
+        if min(vertices) < 0:
+            raise ValueError(f"vertex {min(vertices)} is negative")
+        mask = 0
+        for v in vertices:
+            mask |= 1 << v
+        if mask >> len(rows):
+            raise ValueError(f"vertex {max(vertices)} is outside the graph's {len(rows)} vertices")
+        if mask.bit_count() != len(vertices):
+            raise ValueError(f"{len(vertices)} vertices are listed but only "
+                             f"{mask.bit_count()} are distinct")
     if root is not None and (root < 0 or not mask >> root & 1):
         raise ValueError(f"root {root} is not among the vertices")
+    if twins is None:
+        firsts, sizes = vertices, [1] * len(vertices)
+    else:
+        sizes = [len(members) for members in twins]
+        if 0 in sizes:
+            raise ValueError("a set of closed twins is empty")
+        if sum(sizes) != len(vertices):
+            raise ValueError(f"the sets of closed twins hold {sum(sizes)} vertices, "
+                             f"not the {len(vertices)} listed")
+        firsts = [members[0] for members in twins]
     classes: dict[int, list[int]] = {}  # closed neighbourhood -> [size, representative]
-    for v in vertices:
+    for v, size in zip(firsts, sizes):
         key = rows[v] & mask | 1 << v
         entry = classes.get(key)
         if entry is None:
-            classes[key] = [1, v]
+            classes[key] = [size, v]
         else:
-            entry[0] += 1
+            entry[0] += size
     if len(classes) == 1:  # a complete graph K_s: Cayley's s^(s - 2), and 1 for K_1
         s = len(vertices)
         return FactoredInt.from_int(s, factor_bound) ** max(s - 2, 0)

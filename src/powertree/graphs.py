@@ -89,13 +89,16 @@ def _bits(mask: int) -> list[int]:
 class PowerGraph(Graph):
     """Power graph of a finite group: x ~ y iff one generates a subgroup containing the other.
 
-    Vertex v is the group element with index v.
+    Vertex v is the group element with index v. `twin_sets` partitions the
+    vertices into closed twins: one list per cyclic subgroup, its generators
+    ascending, the lists in order of smallest generator.
     """
 
-    def __init__(self, n, rows, group, identity_vertex):
+    def __init__(self, n, rows, group, identity_vertex, twin_sets):
         super().__init__(n, rows)
         self.group = group
         self.identity_vertex = identity_vertex
+        self.twin_sets = twin_sets
 
     @property
     def labels(self) -> list[str]:
@@ -109,7 +112,8 @@ def build_power_graph(group) -> PowerGraph:
     depend only on the cyclic subgroup H it generates: the other generators
     of H and the generators of every other cyclic K with K <= H or H <= K.
     The rows are built once per H, and all generators of H are closed twins
-    by construction.
+    by construction; their lists, in the table's order, are kept as the
+    graph's `twin_sets`.
     """
     subgroups = list(group.cyclic_subgroups().items())
     which = [0] * group.n  # element -> position of the cyclic subgroup it generates
@@ -132,7 +136,8 @@ def build_power_graph(group) -> PowerGraph:
     for i, (_, generators) in enumerate(subgroups):
         for g in generators:
             rows[g] = around[i] | (gens[i] ^ (1 << g))
-    return PowerGraph(group.n, rows, group, group.identity)
+    twin_sets = [generators for _, generators in subgroups]
+    return PowerGraph(group.n, rows, group, group.identity, twin_sets)
 
 
 @dataclass(frozen=True)

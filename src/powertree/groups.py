@@ -588,19 +588,36 @@ _FAMILIES = {
 }
 
 
+# specs up to this length are quoted whole in error messages
+_QUOTED_SPEC_LIMIT = 80
+_LONG_NUMBER_RE = re.compile(r"[0-9]{21,}")
+
+
+def _quoted(spec: str) -> str:
+    """A spec for an error message: quoted whole up to _QUOTED_SPEC_LIMIT
+    characters; above it, each number of more than 20 digits is given by its
+    digit count, and what is still too long is cut with its length given."""
+    short = spec
+    if len(short) > _QUOTED_SPEC_LIMIT:
+        short = _LONG_NUMBER_RE.sub(lambda m: f"<{len(m.group())} digits>", short)
+    if len(short) > _QUOTED_SPEC_LIMIT:
+        return f"{short[:_QUOTED_SPEC_LIMIT]!r}... ({len(spec)} characters)"
+    return repr(short)
+
+
 def _parse_atom(token: str) -> tuple[str, tuple[int, ...]]:
     m = _ATOM_RE.match(token)
     if not m:
-        raise GroupSpecError(f"cannot parse group spec atom {token!r}")
+        raise GroupSpecError(f"cannot parse group spec atom {_quoted(token)}")
     family, first, second = m.group(1), parse_decimal(m.group(2)), m.group(3)
     second = parse_decimal(second) if second is not None else None
     if family not in _FAMILIES:
-        raise GroupSpecError(f"unknown group family {family!r} in {token!r}")
+        raise GroupSpecError(f"unknown group family {_quoted(family)} in {_quoted(token)}")
     if family == "elemabelian":
         if second is None:
-            raise GroupSpecError(f"elemabelian needs two parameters in {token!r}")
+            raise GroupSpecError(f"elemabelian needs two parameters in {_quoted(token)}")
     elif second is not None:
-        raise GroupSpecError(f"family {family!r} takes one parameter in {token!r}")
+        raise GroupSpecError(f"family {family!r} takes one parameter in {_quoted(token)}")
     return family, (first,) if second is None else (first, second)
 
 
@@ -612,7 +629,7 @@ def spec_order(spec: str, cap: int | None = None) -> int:
     """
     atoms = [a.strip() for a in spec.split(" x ")]
     if not atoms or any(not a for a in atoms):
-        raise GroupSpecError(f"cannot parse group spec {spec!r}")
+        raise GroupSpecError(f"cannot parse group spec {_quoted(spec)}")
     orders = []
     for atom in atoms:  # every atom is checked, even past the cap
         family, params = _parse_atom(atom)
@@ -628,7 +645,7 @@ def _build_atom(token: str) -> FiniteGroup:
 def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a spec like ``quaternion:8`` or ``cyclic:2 x cyclic:4``."""
     if spec_order(spec, cap=order_cap) > order_cap:
-        raise OrderCapError(f"group {spec!r} has order above the cap {order_cap}")
+        raise OrderCapError(f"group {_quoted(spec)} has order above the cap {order_cap}")
     atoms = [a.strip() for a in spec.split(" x ")]
     group = _build_atom(atoms[0])
     for atom in atoms[1:]:

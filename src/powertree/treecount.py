@@ -9,7 +9,7 @@ from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, prime_power
 from .determinant import det_bareiss, ones_plus_laplacian, twin_class_kappa
-from .graphs import Graph, build_power_graph
+from .graphs import Graph, PowerGraph, build_power_graph
 from .groups import cyclic_group
 
 # One-step Bareiss on the full J + Q took 0.76-0.90 s at n = 168 (psl2:7), 4.3-4.5 s
@@ -52,15 +52,18 @@ def kappa_decomposed(graph: Graph,
     Such a u lies in every block, and no other vertex is a cut vertex, so the
     blocks are u plus each component of the graph without u, and kappa is the
     product of their counts. Rooted at u's class, the one elimination is
-    block diagonal over the blocks, so the graph is never split. A graph
-    without such a u is rooted at a class of smallest closed degree. The
-    count comes back factored under `factor_bound`; a graph with no
-    vertices, or a disconnected one, raises ValueError.
+    block diagonal over the blocks, so the graph is never split. A power
+    graph hands the kernel its twin sets, so the classes are keyed once per
+    cyclic subgroup, not once per vertex. A graph without such a u is rooted
+    at a class of smallest closed degree. The count comes back factored under
+    `factor_bound`; a graph with no vertices, or a disconnected one, raises
+    ValueError.
     """
     rows = graph.rows
     n = graph.n
     u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
-    return twin_class_kappa(rows, range(n), u, factor_bound)
+    twins = graph.twin_sets if isinstance(graph, PowerGraph) else None
+    return twin_class_kappa(rows, range(n), u, factor_bound, twins=twins)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import pytest
 import sympy
 
 import powertree
-from powertree import FactoredInt
+from powertree import FactoredInt, arith
 from powertree.arith import (decimal_digits, decimal_str, euler_phi, is_prime,
                              iter_primes, parse_decimal, prime_factors,
                              prime_power, primes_below,
@@ -223,6 +223,26 @@ def test_parse_cofactor_rule_under_a_large_bound():
     for text in ("4", "15", str(999983 * 1000003)):
         with pytest.raises(ValueError, match="has a prime factor below"):
             FactoredInt.parse(text, bound)
+
+
+def test_parse_takes_a_proven_prime_cofactor_without_trial_division(monkeypatch):
+    # 10^23 + 117 is prime: trial division up to 10^8 took seconds to show it
+    # has no factor below the bound, which Miller-Rabin decides at once
+    prime = 100000000000000000000117
+    divide = arith.trial_divide
+
+    def no_prime(n, bound):
+        if n == prime:
+            pytest.fail("trial division of a prime cofactor")
+        return divide(n, bound)
+
+    monkeypatch.setattr(arith, "trial_divide", no_prime)
+    parsed = FactoredInt.parse(f"2^3*{prime}", 10 ** 8)
+    assert (parsed.factors, parsed.cofactor) == ({2: 3}, prime)
+    # a composite cofactor is still trial-divided, and refused for a factor
+    # below the bound: 10^23 + 117 times 10007
+    with pytest.raises(ValueError, match="has a prime factor below 100000000"):
+        FactoredInt.parse(f"2^3*{prime * 10007}", 10 ** 8)
 
 
 def test_parse_checks_the_bound_before_primality():

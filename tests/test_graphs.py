@@ -151,6 +151,19 @@ def test_generators_of_one_cyclic_subgroup_are_closed_twins(spec):
     assert all(len(rows) == 1 for rows in closed.values())
 
 
+@pytest.mark.parametrize("spec", DEFINITION_PANEL)
+def test_twin_sets_are_the_generators_of_each_cyclic_subgroup(spec):
+    # one ascending list per cyclic subgroup, in order of smallest generator,
+    # covering every vertex once
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    generators = {}
+    for g in range(group.n):
+        generators.setdefault(group.cyclic_subgroup(g), []).append(g)
+    assert graph.twin_sets == sorted(generators.values())
+    assert sorted(itertools.chain.from_iterable(graph.twin_sets)) == list(range(group.n))
+
+
 @pytest.mark.parametrize("spec", ["dihedral:2000", "cyclic:1980"])
 def test_power_graph_edge_count_at_the_order_cap(spec):
     # each g is joined to the |<g>| - 1 other members of <g>; a pair of

@@ -512,6 +512,30 @@ def test_over_cap_specs_are_rejected_without_their_order(spec):
     assert spec_order(spec, cap=2000) > 2000
 
 
+def test_long_specs_are_abbreviated_in_errors():
+    # a spec is quoted whole up to 80 characters; past that a long number is
+    # given by its digit count, and what is still long is cut
+    nines = "9" * 5000
+    for spec, message in [
+        ("cyclic:" + nines, "group 'cyclic:<5000 digits>' has order above the cap 2000"),
+        ("elemabelian:2:" + nines,
+         "group 'elemabelian:2:<5000 digits>' has order above the cap 2000"),
+        ("cyclic:" + "9" * 70, f"group 'cyclic:{'9' * 70}' has order above the cap 2000"),
+    ]:
+        with pytest.raises(OrderCapError) as info:
+            build_group(spec)
+        assert str(info.value) == message
+    long_product = " x ".join(["cyclic:2"] * 400)
+    with pytest.raises(OrderCapError) as info:
+        build_group(long_product)
+    assert str(info.value).endswith(f"... ({len(long_product)} characters) "
+                                    "has order above the cap 2000")
+    assert len(str(info.value)) < 200
+    with pytest.raises(GroupSpecError) as info:
+        build_group("cyclic:2:" + nines)
+    assert str(info.value) == "family 'cyclic' takes one parameter in 'cyclic:2:<5000 digits>'"
+
+
 def test_capped_spec_order():
     for spec in ["sym:7", "alt:7", "elemabelian:3:7", "elemabelian:2:11", "psl2:13",
                  "sym:3 x alt:5", "alt:2"]:

@@ -18,7 +18,7 @@ from powertree import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, Graph,
                        VertexLimitError, build_group, build_power_graph, checks,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
                        det_bareiss, kappa_decomposed, kappa_matrix_tree, load_manifest,
-                       ones_plus_laplacian, spec_order, treecount)
+                       determinant, ones_plus_laplacian, spec_order, treecount)
 from powertree.determinant import twin_class_kappa
 
 from _deletion_contraction import DC_VERTEX_LIMIT, kappa_deletion_contraction
@@ -336,16 +336,20 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
 
 def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
     # the identity is universal, so the whole graph is counted at once, rooted
-    # at its class, and the graph is never split into pieces
+    # at its class and keyed by the graph's twin sets, and the graph is never
+    # split into pieces
     graph = _power_graph("alt:6 x cyclic:2")
     calls = []
     kernel = treecount.twin_class_kappa
     monkeypatch.setattr(treecount, "twin_class_kappa",
-                        lambda *args: calls.append(args) or kernel(*args))
+                        lambda *args, **kwargs: calls.append((args, kwargs))
+                        or kernel(*args, **kwargs))
     monkeypatch.setattr(Graph, "components", lambda *args, **kwargs: pytest.fail("split"))
     kappa = kappa_decomposed(graph)
-    assert [(list(vertices), root) for _, vertices, root, _ in calls] == [
-        (list(range(graph.n)), graph.identity_vertex)]
+    assert [(rows, list(vertices), root, kwargs)
+            for (rows, vertices, root, _), kwargs in calls] == [
+        (graph.rows, list(range(graph.n)), graph.identity_vertex,
+         {"twins": graph.twin_sets})]
     assert str(kappa) == "2^574*3^302*5^149*7^35*67"
 
 
@@ -399,6 +403,77 @@ def test_groups_at_the_order_cap_finish():
     assert compute_kappa(_power_graph("elemabelian:2:10")).kappa.value == 1
     assert compute_kappa(_power_graph("elemabelian:43:2")).kappa.value == 43 ** (41 * 44)
     assert compute_kappa(_power_graph("cyclic:1849")).kappa.value == 43 ** 3694
+
+
+# the benchmark's kappa-blocks groups, whose blocks through the identity are not complete
+KAPPA_BLOCKS_SPECS = ("quaternion:256", "sym:6", "psl2:13", "alt:6", "sym:5 x cyclic:3",
+                      "alt:6 x cyclic:2")
+
+
+def _kernel_classes(monkeypatch, rows, vertices, root, twins=None):
+    """The count, and the classes the kernel eliminates, as (closed neighbourhood,
+    size, representative) in elimination order after the root's size; a
+    complete graph is one class and eliminates nothing."""
+    seen = []
+    eliminate = determinant._det_class_laplacian
+
+    def recording(classes, root_size):
+        seen.append((root_size, [(key, size, rep) for key, (size, rep) in classes.items()]))
+        return eliminate(classes, root_size)
+
+    monkeypatch.setattr(determinant, "_det_class_laplacian", recording)
+    kappa = twin_class_kappa(rows, vertices, root, twins=twins)
+    monkeypatch.undo()
+    return kappa, seen
+
+
+@pytest.mark.parametrize("spec", sorted(load_manifest()) + sorted(GRAPH_BOUND_SPECS)
+                         + sorted(KAPPA_BLOCKS_SPECS))
+def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
+    # keyed once per cyclic subgroup, the kernel must find the classes that
+    # keying every vertex finds: the same keys, sizes, representatives and
+    # order, on both routes (rooted at the identity, and at no given vertex)
+    graph = _power_graph(spec)
+    for root in (graph.identity_vertex, None):
+        per_set = _kernel_classes(monkeypatch, graph.rows, range(graph.n), root,
+                                  graph.twin_sets)
+        per_vertex = _kernel_classes(monkeypatch, graph.rows, range(graph.n), root)
+        assert per_set == per_vertex
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_twin_graphs(), st.randoms(use_true_random=False))
+def test_any_partition_into_closed_twins_gives_the_count(graph, rng):
+    # each class of closed twins cut into random runs of its members: keyed
+    # once per run, the count is the dense reference's
+    classes = {}
+    for v in range(graph.n):
+        classes.setdefault(graph.rows[v] | 1 << v, []).append(v)
+    twins = []
+    for members in classes.values():
+        while members:
+            cut = rng.randint(1, len(members))
+            twins.append(members[:cut])
+            members = members[cut:]
+    rng.shuffle(twins)
+    expected = kappa_matrix_tree(graph).value
+    assert twin_class_kappa(graph.rows, range(graph.n), twins=twins).value == expected
+
+
+def test_twin_sets_must_cover_the_vertices():
+    graph = _power_graph("cyclic:6")  # sets {0}, {1, 5}, {2, 4}, {3}
+    assert graph.twin_sets == [[0], [1, 5], [2, 4], [3]]
+    for twins, message in [
+        ([[0], [1, 5], [2, 4]], "hold 5 vertices, not the 6 listed"),
+        ([[0], [1, 5], [2, 4], [3], [3]], "hold 7 vertices, not the 6 listed"),
+        ([[0], [1, 5], [2, 4], [3], []], "a set of closed twins is empty"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            twin_class_kappa(graph.rows, range(6), 0, twins=twins)
+    # a vertex list's own checks come first
+    with pytest.raises(ValueError, match="root 7 is not among the vertices"):
+        twin_class_kappa(graph.rows, range(6), 7, twins=graph.twin_sets)
+    assert twin_class_kappa(graph.rows, range(6), 0, twins=graph.twin_sets) == 540
 
 
 # the accepted specs whose class Laplacians fill in the most under elimination,
