@@ -2,8 +2,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
+from functools import cache, cached_property
+from itertools import chain, compress, count
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -60,11 +60,11 @@ def is_prime(n: int) -> bool:
 def iter_primes():
     """Yield 2, 3, 5, 7, 11, ... without bound, from a sieve whose range
     doubles each time the primes below it run out."""
-    count, limit = 0, 64
+    taken, limit = 0, 64
     while True:
         primes = primes_below(limit)
-        yield from primes[count:]
-        count, limit = len(primes), 2 * limit
+        yield from primes[taken:]
+        taken, limit = len(primes), 2 * limit
 
 
 def primes_below(limit: int) -> list[int]:
@@ -97,15 +97,28 @@ def smallest_prime_power_above(value: int, exponent) -> int:
             return p
 
 
+# trial division walks the primes below this, then odd numbers
+_TRIAL_TABLE_LIMIT = 10_000
+
+
+@cache
+def _trial_primes() -> list[int]:
+    """The 1229 primes below _TRIAL_TABLE_LIMIT, sieved on first use."""
+    return primes_below(_TRIAL_TABLE_LIMIT)
+
+
 def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Split off every prime <= bound from n >= 1 by trial division.
 
-    Returns the exponents found and the cofactor, which no prime <= bound divides.
+    The candidates are the primes below _TRIAL_TABLE_LIMIT, then every odd
+    number past it. Returns the exponents found and the cofactor, which no
+    prime <= bound divides.
     """
     factors: dict[int, int] = {}
     rem = n
-    p = 2
-    while rem > 1 and p <= bound:
+    for p in chain(_trial_primes(), count(_TRIAL_TABLE_LIMIT + 1, 2)):
+        if rem <= 1 or p > bound:
+            break
         if p * p > rem:
             # the remainder is prime; split it off only if it is within the bound
             if rem <= bound:
@@ -115,7 +128,6 @@ def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
         while rem % p == 0:
             factors[p] = factors.get(p, 0) + 1
             rem //= p
-        p += 1 if p == 2 else 2
     return factors, rem
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
                     euler_phi, is_prime, prime_power, smallest_prime_power_above)
-from .determinant import twin_class_kappa
+from .determinant import closed_twin_kappa, twin_class_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
@@ -82,13 +82,14 @@ class GroupBundle:
         """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
         rooted at a class of smallest closed degree: a different elimination
         from the one ``kappa`` runs rooted at the identity's class, keyed, as
-        that one is, by the graph's twin sets. The count is read as an
-        integer, at a factor bound of 1: nothing is trial-divided."""
+        that one is, by the graph's twin sets and their closed neighbourhoods.
+        The count is read as an integer, at a factor bound of 1: nothing is
+        trial-divided."""
         if self._det_jq is None:
             graph = self.graph
             n = graph.n
-            det_jq = n * n * twin_class_kappa(graph.rows, range(n), factor_bound=1,
-                                              twins=graph.twin_sets).value
+            det_jq = n * n * closed_twin_kappa(graph.closed, graph.twin_sets,
+                                               factor_bound=1).value
             self._compare(det_jq, self._kappa)
             self._det_jq = det_jq
         return self._det_jq

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> tuple[int, str]:
     group = build_group(args.group, args.order_cap)
     graph = build_power_graph(group)
     report = compute_kappa(graph, factor_bound=args.factor_bound)
@@ -74,13 +75,11 @@ def _cmd_kappa(args) -> int:
             "kappa": str(report.kappa),
             "cross_checked": report.cross_checked,
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"kappa = {report.kappa}")
-    return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
+    return 0, f"kappa = {report.kappa}\n"
 
 
-def _cmd_components(args) -> int:
+def _cmd_components(args) -> tuple[int, str]:
     group = build_group(args.group, args.order_cap)
     decomposition = component_decomposition(group)
     if args.json:
@@ -97,36 +96,34 @@ def _cmd_components(args) -> int:
                 for c in decomposition.components
             ],
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"components = {decomposition.count}")
-        for i, c in enumerate(decomposition.components, start=1):
-            if c.witness is not None:
-                detail = f"clique from <{group.element_label(c.witness)}>"
-            elif c.is_clique:
-                detail = "clique"
-            else:
-                detail = "not a clique"
-            print(f"component {i}: size {c.size}, {detail}")
-    return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
+    lines = [f"components = {decomposition.count}"]
+    for i, c in enumerate(decomposition.components, start=1):
+        if c.witness is not None:
+            detail = f"clique from <{group.element_label(c.witness)}>"
+        elif c.is_clique:
+            detail = "clique"
+        else:
+            detail = "not a clique"
+        lines.append(f"component {i}: size {c.size}, {detail}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     specs = [args.group] if args.group else load_manifest(args.corpus)
     claims = [args.claim] if args.claim else None
     results = run_verifications(specs, claims, args.order_cap, args.factor_bound)
+    status = 1 if any(not r.holds for r in results) else 0
     if args.json:
-        print(json.dumps([r.to_json_dict() for r in results], indent=2))
-    else:
-        for r in results:
-            flag = "PASS" if r.holds else "FAIL"
-            print(f"{flag} {r.claim_id} [{r.group_label}] {r.witness}")
-        failures = sum(1 for r in results if not r.holds)
-        print(f"{len(results)} checks, {failures} failures")
-    return 1 if any(not r.holds for r in results) else 0
+        return status, json.dumps([r.to_json_dict() for r in results], indent=2) + "\n"
+    lines = [f"{'PASS' if r.holds else 'FAIL'} {r.claim_id} [{r.group_label}] {r.witness}"
+             for r in results]
+    failures = sum(1 for r in results if not r.holds)
+    lines.append(f"{len(results)} checks, {failures} failures")
+    return status, "\n".join(lines) + "\n"
 
 
-def _cmd_recognize(args) -> int:
+def _cmd_recognize(args) -> tuple[int, str]:
     kappa = FactoredInt.parse(args.kappa, args.factor_bound)
     result = recognize(kappa)
     if args.json:
@@ -138,23 +135,34 @@ def _cmd_recognize(args) -> int:
             ],
             "verdict": result.verdict,
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        for s in result.steps:
-            print(f"step {s.number}: {s.name}: {s.summary}")
-        print(f"verdict: {result.verdict}")
-    return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
+    lines = [f"step {s.number}: {s.name}: {s.summary}" for s in result.steps]
+    lines.append(f"verdict: {result.verdict}")
+    return 0, "\n".join(lines) + "\n"
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args) -> tuple[int, str]:
     group = build_group(args.group, args.order_cap)
     graph = build_power_graph(group)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(graph))
-    else:
-        sys.stdout.write(to_json(graph))
-    return 0
+        return 0, ""
+    return 0, to_json(graph)
+
+
+def _write(text: str) -> None:
+    """Write a command's output to stdout. A reader that closes the pipe early
+    (``powertree ... | head``) has taken what it wanted, which is not an
+    error: the rest is dropped, and stdout is pointed at os.devnull, so that
+    the interpreter's final flush does not fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 _COMMANDS = {
@@ -171,7 +179,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        status = _COMMANDS[args.command](args)
+        status, text = _COMMANDS[args.command](args)
+        _write(text)
     except (ValueError, OSError) as exc:
         print(f"powertree: error: {exc}", file=sys.stderr)
         return 2

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class Graph:
@@ -91,14 +92,31 @@ class PowerGraph(Graph):
 
     Vertex v is the group element with index v. `twin_sets` partitions the
     vertices into closed twins: one list per cyclic subgroup, its generators
-    ascending, the lists in order of smallest generator.
+    ascending, the lists in order of smallest generator. `closed[i]` is the
+    closed neighbourhood, as a bitmask, that every member of `twin_sets[i]`
+    has, and `which[v]` is the index of the set holding v. Degrees are read
+    from these per-set masks; the per-vertex `rows` are built only when first
+    asked for, and then kept.
     """
 
-    def __init__(self, n, rows, group, identity_vertex, twin_sets):
-        super().__init__(n, rows)
+    def __init__(self, n, group, identity_vertex, twin_sets, closed, which):
+        self.n = n
         self.group = group
         self.identity_vertex = identity_vertex
         self.twin_sets = twin_sets
+        self.closed = closed
+        self.which = which
+
+    @cached_property
+    def rows(self) -> list[int]:
+        rows = [0] * self.n
+        for members, closed in zip(self.twin_sets, self.closed):
+            for g in members:
+                rows[g] = closed ^ 1 << g
+        return rows
+
+    def degree(self, v: int) -> int:
+        return self.closed[self.which[v]].bit_count() - 1
 
     @property
     def labels(self) -> list[str]:
@@ -111,9 +129,9 @@ def build_power_graph(group) -> PowerGraph:
     x ~ y iff <x> contains <y> or <y> contains <x>, so a vertex's neighbours
     depend only on the cyclic subgroup H it generates: the other generators
     of H and the generators of every other cyclic K with K <= H or H <= K.
-    The rows are built once per H, and all generators of H are closed twins
-    by construction; their lists, in the table's order, are kept as the
-    graph's `twin_sets`.
+    The closed neighbourhood is built once per H, and all generators of H are
+    closed twins by construction; their lists, in the table's order, are kept
+    as the graph's `twin_sets`, and the neighbourhoods as its `closed`.
     """
     subgroups = list(group.cyclic_subgroups().items())
     which = [0] * group.n  # element -> position of the cyclic subgroup it generates
@@ -124,20 +142,20 @@ def build_power_graph(group) -> PowerGraph:
             which[g] = i
             mask |= 1 << g
         gens.append(mask)
-    # generators of the other cyclic subgroups comparable with H; leaving H
-    # itself out keeps these masks as small as the rows they become
-    around = [0] * len(subgroups)
-    for i, (big, _) in enumerate(subgroups):
-        for j in {which[h] for h in big.subgroup}:  # the cyclic subgroups of big
+    # generators of the cyclic subgroups comparable with H, H's own included
+    closed = gens[:]
+    trivial = which[group.identity]
+    for i, (big, generators) in enumerate(subgroups):
+        if len(generators) == big.order - 1:  # phi(m) = m - 1: m is prime
+            subs = (trivial,)  # the only proper subgroup of a group of prime order
+        else:
+            subs = {which[h] for h in big.subgroup}  # the cyclic subgroups of big
+        for j in subs:
             if j != i:
-                around[j] |= gens[i]
-                around[i] |= gens[j]
-    rows = [0] * group.n
-    for i, (_, generators) in enumerate(subgroups):
-        for g in generators:
-            rows[g] = around[i] | (gens[i] ^ (1 << g))
+                closed[j] |= gens[i]
+                closed[i] |= gens[j]
     twin_sets = [generators for _, generators in subgroups]
-    return PowerGraph(group.n, rows, group, group.identity, twin_sets)
+    return PowerGraph(group.n, group, group.identity, twin_sets, closed, which)
 
 
 @dataclass(frozen=True)
@@ -194,8 +212,11 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
 
 
 def full_degree_vertices(pg: PowerGraph) -> list[int]:
-    """Element indices adjacent to every other vertex."""
-    return [v for v in range(pg.n) if pg.degree(v) == pg.n - 1]
+    """Element indices adjacent to every other vertex, read from the per-set
+    closed neighbourhoods: a set's members are all or none of them."""
+    full = (1 << pg.n) - 1
+    return sorted(v for members, closed in zip(pg.twin_sets, pg.closed) if closed == full
+                  for v in members)
 
 
 def to_dot(pg: PowerGraph) -> str:

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, prime_power
-from .determinant import det_bareiss, ones_plus_laplacian, twin_class_kappa
+from .determinant import (closed_twin_kappa, det_bareiss, ones_plus_laplacian,
+                          twin_class_kappa)
 from .graphs import Graph, PowerGraph, build_power_graph
 from .groups import cyclic_group
 
@@ -45,7 +46,7 @@ def kappa_matrix_tree(graph: Graph,
 
 def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count on the closed-twin class Laplacian (``twin_class_kappa``),
+    """Spanning-tree count on the closed-twin class Laplacian (``closed_twin_kappa``),
     rooted at the class of a vertex u adjacent to every other vertex (the
     identity of a power graph).
 
@@ -53,17 +54,20 @@ def kappa_decomposed(graph: Graph,
     blocks are u plus each component of the graph without u, and kappa is the
     product of their counts. Rooted at u's class, the one elimination is
     block diagonal over the blocks, so the graph is never split. A power
-    graph hands the kernel its twin sets, so the classes are keyed once per
-    cyclic subgroup, not once per vertex. A graph without such a u is rooted
-    at a class of smallest closed degree. The count comes back factored under
-    `factor_bound`; a graph with no vertices, or a disconnected one, raises
-    ValueError.
+    graph hands the kernel its twin sets and their closed neighbourhoods, so
+    the classes are keyed once per cyclic subgroup and no per-vertex row is
+    built; a plain graph is keyed from its rows, and a graph without such a u
+    is rooted at a class of smallest closed degree. The count comes back
+    factored under `factor_bound`; a graph with no vertices, or a
+    disconnected one, raises ValueError.
     """
+    if isinstance(graph, PowerGraph):
+        return closed_twin_kappa(graph.closed, graph.twin_sets, graph.identity_vertex,
+                                 factor_bound)
     rows = graph.rows
     n = graph.n
     u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
-    twins = graph.twin_sets if isinstance(graph, PowerGraph) else None
-    return twin_class_kappa(rows, range(n), u, factor_bound, twins=twins)
+    return twin_class_kappa(rows, range(n), u, factor_bound)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Command-line interface behavior, output formats, and exit codes."""
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -189,13 +190,70 @@ def test_malformed_kappa_literal_fails_with_diagnostic(capsys):
     assert "'2^x'" in capsys.readouterr().err
 
 
+CLI_SCRIPT = "import sys; from powertree.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def _cli_subprocess(*argv, preexec_fn=None):
     # a subprocess, so that a hang times out instead of stalling the suite
     source = Path(powertree.__file__).resolve().parents[1]
-    script = "import sys; from powertree.cli import main; sys.exit(main(sys.argv[1:]))"
-    return subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+    return subprocess.run([sys.executable, "-c", CLI_SCRIPT, *argv], capture_output=True,
                           text=True, timeout=60, preexec_fn=preexec_fn,
                           env={"PYTHONPATH": str(source)})
+
+
+# a verify whose one check fails: it exits 1, whatever happens to its output
+FAILING_VERIFY = ("import sys; from powertree import cli; "
+                  "from powertree.checks import VerificationResult; "
+                  "cli.run_verifications = lambda *args, **kwargs: "
+                  "[VerificationResult('full-degree-det-divisor', 'cyclic:6', False, 'broken')]; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def _into_closed_pipe(script, *argv):
+    """Run a script with stdout on a pipe whose reading end is already closed,
+    so its first write of output fails with EPIPE."""
+    source = Path(powertree.__file__).resolve().parents[1]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run([sys.executable, "-c", script, *argv], stdout=write,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={"PYTHONPATH": str(source)})
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("script,argv,status", [
+    (CLI_SCRIPT, ["kappa", "cyclic:1024", "--json"], 0),
+    (CLI_SCRIPT, ["kappa", "quaternion:8"], 0),
+    (CLI_SCRIPT, ["export", "cyclic:360"], 0),
+    (CLI_SCRIPT, ["verify", "quaternion:8"], 0),
+    (FAILING_VERIFY, ["verify", "cyclic:6"], 1),
+], ids=["kappa-json", "kappa-text", "export", "verify", "verify-failing"])
+def test_a_reader_that_closed_the_pipe_is_not_an_error(script, argv, status):
+    # the command's own status, and no error line or failed final flush
+    done = _into_closed_pipe(script, *argv)
+    assert done.returncode == status, done.stderr
+    assert "Broken pipe" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert "error" not in done.stderr
+
+
+def test_a_reader_that_stops_early_reads_both_exit_statuses():
+    # powertree export cyclic:360 | head -c 1: 1.6 MB into a reader that stops
+    # after one byte; both sides exit 0
+    source = Path(powertree.__file__).resolve().parents[1]
+    writer = subprocess.Popen([sys.executable, "-c", CLI_SCRIPT, "export", "cyclic:360"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env={"PYTHONPATH": str(source)})
+    reader = subprocess.Popen(["head", "-c", "1"], stdin=writer.stdout,
+                              stdout=subprocess.PIPE)
+    writer.stdout.close()  # the reader holds the only reading end
+    first, _ = reader.communicate(timeout=60)
+    err = writer.communicate(timeout=60)[1].decode()
+    assert (writer.returncode, reader.returncode) == (0, 0), err
+    assert first == b"{"
+    assert "Broken pipe" not in err and "Exception ignored" not in err
 
 
 def test_kappa_literal_base_above_the_bound_fails_at_once():

@@ -1,7 +1,6 @@
 """Exact determinant engines against an independent oracle."""
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -67,7 +66,7 @@ def test_trivial_sizes():
     assert det_bareiss([[7]]) == 7
     assert det_bareiss([[-3]]) == -3
     assert det_sparse_symmetric([], []) == 1
-    assert det_sparse_symmetric([5], [{}]) == 5
+    assert det_sparse_symmetric([(5, 1)], [{}]) == 5
 
 
 def test_engines_agree_on_large_entries():
@@ -99,10 +98,12 @@ def test_hadamard_bound_holds():
 
 
 def _sparse(matrix):
-    """`det_sparse_symmetric`'s input: the diagonal, and the nonzero entries off it by row."""
+    """`det_sparse_symmetric`'s input: the diagonal, and the nonzero entries off it by
+    row, each an integer as a (numerator, 1) pair."""
     n = len(matrix)
-    return ([matrix[i][i] for i in range(n)],
-            [{j: matrix[i][j] for j in range(n) if j != i and matrix[i][j]} for i in range(n)])
+    return ([(matrix[i][i], 1) for i in range(n)],
+            [{j: (matrix[i][j], 1) for j in range(n) if j != i and matrix[i][j]}
+             for i in range(n)])
 
 
 def _gram(rng, n, rank):
@@ -114,7 +115,7 @@ def _gram(rng, n, rank):
 
 def test_non_integral_determinant_raises():
     with pytest.raises(ExactnessError):
-        det_sparse_symmetric([Fraction(1, 2)], [{}])
+        det_sparse_symmetric([(1, 2)], [{}])
 
 
 def test_class_laplacian_of_small_graphs():

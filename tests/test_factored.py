@@ -315,3 +315,38 @@ def test_equality_and_int_conversion():
     assert FactoredInt.from_int(540) == FactoredInt.parse("2^2*3^3*5")
     assert int(FactoredInt.from_int(540)) == 540
     assert hash(FactoredInt.from_int(7)) == hash(FactoredInt({7: 1}))
+
+
+def _odd_trial_divide(n, bound):
+    """Trial division by 2 and then every odd number: the reference."""
+    factors, rem, p = {}, n, 2
+    while rem > 1 and p <= bound:
+        if p * p > rem:
+            if rem <= bound:
+                factors[rem] = factors.get(rem, 0) + 1
+                rem = 1
+            break
+        while rem % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rem //= p
+        p += 1 if p == 2 else 2
+    return factors, rem
+
+
+def test_trial_division_over_the_prime_table_matches_every_odd_number():
+    # the table holds the primes below 10^4 (the last is 9973); past it the
+    # candidates are odd numbers again, so factors and cofactors are unchanged
+    # on both sides of the table's end and of the bound
+    primes = arith._trial_primes()
+    assert len(primes) == 1229 and primes[-1] == 9973
+    rng = random.Random(23)
+    near_the_end = [9967, 9973, 10007, 10009, 10037, 99991, 1000003]
+    numbers = [1, 2, 3, 4, 96, 97, 9403, 9407, 9409, 9410, 9973, 97 * 101, 9973 ** 2, 10007 ** 2,
+               9973 * 10007, 10009 * 10037, 2 ** 10 * 3 ** 5 * 9973, 99991 * 1000003, 10 ** 23 + 117,
+               (10 ** 23 + 117) * 10007]
+    numbers += [rng.choice(near_the_end) * rng.choice(near_the_end) * rng.randrange(1, 10 ** 6)
+                for _ in range(40)]
+    numbers += [rng.randrange(1, 10 ** 12) for _ in range(40)]
+    for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001, 10007, 10008, 10 ** 5):
+        for n in numbers:
+            assert arith.trial_divide(n, bound) == _odd_trial_divide(n, bound), (n, bound)

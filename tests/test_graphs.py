@@ -11,7 +11,9 @@ import pytest
 
 from powertree import (Graph, build_group, build_power_graph,
                        component_decomposition, full_degree_vertices,
-                       kappa_decomposed, to_dot, to_json, to_json_dict)
+                       kappa_decomposed, load_manifest, to_dot, to_json, to_json_dict)
+
+from test_treecount import GRAPH_BOUND_SPECS, KAPPA_BLOCKS_SPECS
 
 
 def _random_graph(rng, n, p):
@@ -162,6 +164,43 @@ def test_twin_sets_are_the_generators_of_each_cyclic_subgroup(spec):
         generators.setdefault(group.cyclic_subgroup(g), []).append(g)
     assert graph.twin_sets == sorted(generators.values())
     assert sorted(itertools.chain.from_iterable(graph.twin_sets)) == list(range(group.n))
+
+
+def _rows_by_definition(group):
+    """Row v from the definition, one vertex at a time: the w != v with w in <v>
+    or v in <w>."""
+    subgroup = [group.cyclic_subgroup(g) for g in range(group.n)]
+    members = {}  # <g> -> mask of its members
+    generators = {}  # <g> -> mask of its generators
+    for g, sub in enumerate(subgroup):
+        generators[sub] = generators.get(sub, 0) | 1 << g
+        if sub not in members:
+            members[sub] = sum(1 << h for h in sub)
+    inside = [0] * group.n  # v -> mask of the w with v in <w>
+    for sub, mask in generators.items():
+        for h in sub:
+            inside[h] |= mask
+    return [(members[subgroup[v]] | inside[v]) & ~(1 << v) for v in range(group.n)]
+
+
+@pytest.mark.parametrize("spec", sorted(set(load_manifest()) | set(GRAPH_BOUND_SPECS)
+                                        | set(KAPPA_BLOCKS_SPECS)))
+def test_rows_on_demand_match_the_definition(spec):
+    # degrees and full-degree vertices come from the per-set closed
+    # neighbourhoods without building a row; the rows, built on first access
+    # and then kept, are the definition's
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    expected = _rows_by_definition(group)
+    degrees = [row.bit_count() for row in expected]
+    assert [graph.degree(v) for v in range(group.n)] == degrees
+    assert full_degree_vertices(graph) == [v for v, k in enumerate(degrees) if k == group.n - 1]
+    assert graph.edge_count() == sum(degrees) // 2
+    assert "rows" not in vars(graph)
+    assert graph.rows == expected
+    assert graph.rows is graph.rows
+    for i, (members, closed) in enumerate(zip(graph.twin_sets, graph.closed)):
+        assert all(graph.which[g] == i and expected[g] | 1 << g == closed for g in members)
 
 
 @pytest.mark.parametrize("spec", ["dihedral:2000", "cyclic:1980"])

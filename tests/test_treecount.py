@@ -202,7 +202,7 @@ def test_bundle_compares_its_two_routes(monkeypatch):
     monkeypatch.undo()
     bundle = GroupBundle("cyclic:6")
     assert bundle.kappa.value == 540
-    monkeypatch.setattr(checks, "twin_class_kappa",
+    monkeypatch.setattr(checks, "closed_twin_kappa",
                         lambda *args, **kwargs: FactoredInt.from_int(541))
     with pytest.raises(ExactnessError, match=r"is not 6\^2 \* kappa"):
         bundle.det_jq
@@ -336,20 +336,22 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
 
 def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
     # the identity is universal, so the whole graph is counted at once, rooted
-    # at its class and keyed by the graph's twin sets, and the graph is never
-    # split into pieces
+    # at its class and keyed by the graph's twin sets and their closed
+    # neighbourhoods; the graph is never split into pieces, and no per-vertex
+    # row is built
     graph = _power_graph("alt:6 x cyclic:2")
     calls = []
-    kernel = treecount.twin_class_kappa
-    monkeypatch.setattr(treecount, "twin_class_kappa",
+    kernel = treecount.closed_twin_kappa
+    monkeypatch.setattr(treecount, "closed_twin_kappa",
                         lambda *args, **kwargs: calls.append((args, kwargs))
                         or kernel(*args, **kwargs))
+    monkeypatch.setattr(treecount, "twin_class_kappa",
+                        lambda *args, **kwargs: pytest.fail("keyed from rows"))
     monkeypatch.setattr(Graph, "components", lambda *args, **kwargs: pytest.fail("split"))
     kappa = kappa_decomposed(graph)
-    assert [(rows, list(vertices), root, kwargs)
-            for (rows, vertices, root, _), kwargs in calls] == [
-        (graph.rows, list(range(graph.n)), graph.identity_vertex,
-         {"twins": graph.twin_sets})]
+    assert calls == [((graph.closed, graph.twin_sets, graph.identity_vertex,
+                       DEFAULT_FACTOR_BOUND), {})]
+    assert "rows" not in vars(graph)
     assert str(kappa) == "2^574*3^302*5^149*7^35*67"
 
 
@@ -410,19 +412,21 @@ KAPPA_BLOCKS_SPECS = ("quaternion:256", "sym:6", "psl2:13", "alt:6", "sym:5 x cy
                       "alt:6 x cyclic:2")
 
 
-def _kernel_classes(monkeypatch, rows, vertices, root, twins=None):
-    """The count, and the classes the kernel eliminates, as (closed neighbourhood,
-    size, representative) in elimination order after the root's size; a
-    complete graph is one class and eliminates nothing."""
+def _kernel_classes(monkeypatch, count):
+    """The count `count()` gives, and the classes the kernel eliminates, as
+    (closed neighbourhood, size, representative) in elimination order after
+    the root's size; a complete graph is one class and eliminates nothing.
+    Each class's closed degree must be its key's bit count."""
     seen = []
     eliminate = determinant._det_class_laplacian
 
     def recording(classes, root_size):
-        seen.append((root_size, [(key, size, rep) for key, (size, rep) in classes.items()]))
+        assert all(k == key.bit_count() for _, _, k, key in classes)
+        seen.append((root_size, [(key, size, rep) for size, rep, _, key in classes]))
         return eliminate(classes, root_size)
 
     monkeypatch.setattr(determinant, "_det_class_laplacian", recording)
-    kappa = twin_class_kappa(rows, vertices, root, twins=twins)
+    kappa = count()
     monkeypatch.undo()
     return kappa, seen
 
@@ -435,10 +439,24 @@ def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
     # order, on both routes (rooted at the identity, and at no given vertex)
     graph = _power_graph(spec)
     for root in (graph.identity_vertex, None):
-        per_set = _kernel_classes(monkeypatch, graph.rows, range(graph.n), root,
-                                  graph.twin_sets)
-        per_vertex = _kernel_classes(monkeypatch, graph.rows, range(graph.n), root)
+        per_set = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
+            graph.closed, graph.twin_sets, root))
+        per_vertex = _kernel_classes(monkeypatch, lambda: twin_class_kappa(
+            graph.rows, range(graph.n), root))
         assert per_set == per_vertex
+
+
+@pytest.mark.parametrize("spec", sorted(set(GRAPH_BOUND_SPECS) | set(KAPPA_BLOCKS_SPECS)))
+def test_kappa_and_det_jq_build_no_rows(spec):
+    # both kernel routes, and the claims that read degrees, work from the
+    # per-set closed neighbourhoods: the per-vertex rows are never built
+    bundle = GroupBundle(spec)
+    graph = bundle.graph
+    assert bundle.det_jq == graph.n ** 2 * bundle.kappa.value
+    assert checks.verify_full_degree_divisor(bundle).holds
+    g = max(range(graph.n), key=bundle.group.order_of)
+    assert checks.verify_element_degree_divisor(bundle, g).holds
+    assert "rows" not in vars(graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -456,24 +474,32 @@ def test_any_partition_into_closed_twins_gives_the_count(graph, rng):
             twins.append(members[:cut])
             members = members[cut:]
     rng.shuffle(twins)
+    closed = [graph.rows[members[0]] | 1 << members[0] for members in twins]
     expected = kappa_matrix_tree(graph).value
-    assert twin_class_kappa(graph.rows, range(graph.n), twins=twins).value == expected
+    assert determinant.closed_twin_kappa(closed, twins).value == expected
 
 
 def test_twin_sets_must_cover_the_vertices():
     graph = _power_graph("cyclic:6")  # sets {0}, {1, 5}, {2, 4}, {3}
     assert graph.twin_sets == [[0], [1, 5], [2, 4], [3]]
     for twins, message in [
-        ([[0], [1, 5], [2, 4]], "hold 5 vertices, not the 6 listed"),
-        ([[0], [1, 5], [2, 4], [3], [3]], "hold 7 vertices, not the 6 listed"),
+        ([[0], [1, 5], [2, 4]], "hold 5 vertices, not the 6 their closed neighbourhoods cover"),
+        ([[0], [1, 5], [2, 4], [3], [3]], "hold 7 vertices, not the 6"),
         ([[0], [1, 5], [2, 4], [3], []], "a set of closed twins is empty"),
     ]:
+        closed = [graph.closed[graph.which[members[0]]] if members else 0 for members in twins]
         with pytest.raises(ValueError, match=message):
-            twin_class_kappa(graph.rows, range(6), 0, twins=twins)
+            determinant.closed_twin_kappa(closed, twins, 0)
+    with pytest.raises(ValueError, match="argument 2 is longer than argument 1"):
+        determinant.closed_twin_kappa(graph.closed[:3], graph.twin_sets)
+    with pytest.raises(ValueError, match="root 5 is not the first member of a set"):
+        determinant.closed_twin_kappa(graph.closed, graph.twin_sets, 5)
+    with pytest.raises(ValueError, match="no vertices"):
+        determinant.closed_twin_kappa([], [])
     # a vertex list's own checks come first
     with pytest.raises(ValueError, match="root 7 is not among the vertices"):
-        twin_class_kappa(graph.rows, range(6), 7, twins=graph.twin_sets)
-    assert twin_class_kappa(graph.rows, range(6), 0, twins=graph.twin_sets) == 540
+        twin_class_kappa(graph.rows, range(6), 7)
+    assert determinant.closed_twin_kappa(graph.closed, graph.twin_sets, 0) == 540
 
 
 # the accepted specs whose class Laplacians fill in the most under elimination,
