@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, count, takewhile
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -107,16 +107,20 @@ def _trial_primes() -> list[int]:
     return primes_below(_TRIAL_TABLE_LIMIT)
 
 
-def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
-    """Split off every prime <= bound from n >= 1 by trial division.
+def _trial_divisors():
+    """The trial divisors in ascending order, without end: the primes below
+    _TRIAL_TABLE_LIMIT, then every odd number past it."""
+    return chain(_trial_primes(), count(_TRIAL_TABLE_LIMIT + 1, 2))
 
-    The candidates are the primes below _TRIAL_TABLE_LIMIT, then every odd
-    number past it. Returns the exponents found and the cofactor, which no
-    prime <= bound divides.
+
+def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
+    """Split off every prime <= bound from n >= 1 by trial division over
+    ``_trial_divisors``. Returns the exponents found and the cofactor, which
+    no prime <= bound divides.
     """
     factors: dict[int, int] = {}
     rem = n
-    for p in chain(_trial_primes(), count(_TRIAL_TABLE_LIMIT + 1, 2)):
+    for p in _trial_divisors():
         if rem <= 1 or p > bound:
             break
         if p * p > rem:
@@ -300,9 +304,11 @@ class FactoredInt:
                     if p < 2:
                         raise ValueError(f"malformed cofactor token {token!r}")
                     # a prime cofactor, which Miller-Rabin proves far faster
-                    # than trial division up to the bound, has no factor below it
-                    is_proven_prime = p < _MILLER_RABIN_LIMIT and is_prime(p)
-                    if not is_proven_prime and trial_divide(p, bound)[0]:
+                    # than trial division up to the bound, has no factor below
+                    # it; any other is divided only up to its first factor
+                    divisors = takewhile(lambda d: d <= bound and d * d <= p, _trial_divisors())
+                    if not (p < _MILLER_RABIN_LIMIT and is_prime(p)) and any(
+                            p % d == 0 for d in divisors):
                         raise ValueError(
                             f"cofactor token {token!r} has a prime factor below {bound}"
                         )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
                     euler_phi, is_prime, prime_power, smallest_prime_power_above)
-from .determinant import closed_twin_kappa, twin_class_kappa
+from .determinant import closed_twin_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
@@ -239,8 +239,8 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
     """Pairwise trivially intersecting proper subgroups H_i force
     kappa(G) > kappa(H_1) * ... * kappa(H_t).
 
-    P(H) is P(G) induced on H, so each kappa(H_i) is counted on the rows of
-    the group's own power graph.
+    P(H) is P(G) induced on H, so each kappa(H_i) is counted on the group's
+    own power graph, by ``_subgroup_kappa``.
     """
     bundle = _as_bundle(source)
     group = bundle.group
@@ -264,8 +264,7 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
                 raise ValueError("subgroup intersections must be trivial")
     product = 1
     for members in member_sets:
-        product *= twin_class_kappa(bundle.graph.rows, members, group.identity,
-                                    factor_bound=1).value
+        product *= _subgroup_kappa(bundle.graph, members)
     kappa = bundle.kappa
     holds = kappa.value > product
     return VerificationResult(
@@ -273,6 +272,18 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
         f"kappa = {kappa} {'>' if holds else '<='} {decimal_short(product)} "
         f"(product over subgroups of orders {[len(members) for members in member_sets]})",
     )
+
+
+def _subgroup_kappa(graph: PowerGraph, members) -> int:
+    """kappa(H), as an integer, of a subgroup H given as its elements: g in H
+    puts <g> in H, so H is a union of the graph's twin sets. They are counted
+    with their closed neighbourhoods cut down to H, rooted at the identity,
+    and the kernel merges those that become closed twins in P(H)."""
+    mask = sum(1 << g for g in members)
+    inside = sorted({graph.which[g] for g in members})
+    return closed_twin_kappa([graph.closed[i] & mask for i in inside],
+                             [graph.twin_sets[i] for i in inside],
+                             graph.identity_vertex, factor_bound=1).value
 
 
 def verify_factorial_cap(source) -> VerificationResult:

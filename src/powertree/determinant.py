@@ -113,39 +113,6 @@ def det_sparse_symmetric(diag, off) -> int:
     return det
 
 
-def twin_class_kappa(rows, vertices, root=None,
-                     factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count of the subgraph induced on `vertices`, from bitset
-    adjacency rows: ``closed_twin_kappa`` with every vertex a set of its own,
-    keyed by its closed neighbourhood within `vertices`.
-
-    An empty vertex list, a negative, repeated or out-of-range vertex, or a
-    `root` outside `vertices` raises ValueError, as a disconnected subgraph
-    does.
-    """
-    if not isinstance(vertices, range):
-        vertices = list(vertices)
-    if not vertices:
-        raise ValueError("spanning-tree count of a graph with no vertices")
-    if vertices == range(len(rows)):  # the whole graph
-        mask = (1 << len(rows)) - 1
-    else:
-        if min(vertices) < 0:
-            raise ValueError(f"vertex {min(vertices)} is negative")
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-        if mask >> len(rows):
-            raise ValueError(f"vertex {max(vertices)} is outside the graph's {len(rows)} vertices")
-        if mask.bit_count() != len(vertices):
-            raise ValueError(f"{len(vertices)} vertices are listed but only "
-                             f"{mask.bit_count()} are distinct")
-    if root is not None and (root < 0 or not mask >> root & 1):
-        raise ValueError(f"root {root} is not among the vertices")
-    return closed_twin_kappa((rows[v] & mask | 1 << v for v in vertices),
-                             zip(vertices), root, factor_bound)  # zip: one 1-tuple per vertex
-
-
 def closed_twin_kappa(closed, twin_sets, root=None,
                       factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count of a graph given as sets of closed twins: `closed[i]`
@@ -170,15 +137,16 @@ def closed_twin_kappa(closed, twin_sets, root=None,
 
     The classes are found by hashing each set's key once and adding the
     set's size to that class; k_i is the key's bit count, taken once per
-    class. A power graph's sets are the generator lists of its cyclic
-    subgroups, with their shared closed neighbourhoods as keys; a plain graph
-    is keyed one vertex at a time (``twin_class_kappa``). The sets are
-    trusted to hold closed twins; only their sizes are checked: they must add
-    up to the number of vertices the closed neighbourhoods cover, which in a
-    connected graph is every vertex. With each set ascending and the sets in
-    order of their first members, as a power graph's are, each class's
-    representative is its smallest vertex and the classes come in order of
-    it, exactly as the vertices one by one give them.
+    class. Every graph hands over its sets through ``Graph.closed_twins``: a
+    power graph's are the generator lists of its cyclic subgroups, with their
+    shared closed neighbourhoods as keys, and a plain graph's are its
+    vertices one by one. The sets are trusted to hold closed twins; only
+    their sizes are checked: they must add up to the number of vertices the
+    closed neighbourhoods cover, which in a connected graph is every vertex.
+    With each set ascending and the sets in order of their first members, as
+    a power graph's are, each class's representative is its smallest vertex
+    and the classes come in order of it, exactly as the vertices one by one
+    give them.
     The classes are sorted once by closed degree, ascending, ties kept in the
     order of their representatives, and `det_sparse_symmetric` eliminates
     S L' in that order: a class of small closed degree has few neighbours,

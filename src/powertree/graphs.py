@@ -47,6 +47,14 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
 
+    def closed_twins(self) -> tuple[list[int], list[list[int]]]:
+        """The graph as sets of closed twins with their closed neighbourhoods,
+        the input of ``closed_twin_kappa``: every vertex a set of its own,
+        keyed by its row with its own bit set. Built from `rows` on each
+        call, since ``add_edge`` changes them."""
+        return ([row | 1 << v for v, row in enumerate(self.rows)],
+                [[v] for v in range(self.n)])
+
     def components(self, without: int | None = None) -> list[list[int]]:
         """Connected components by breadth-first search over bitmasks.
 
@@ -94,9 +102,10 @@ class PowerGraph(Graph):
     vertices into closed twins: one list per cyclic subgroup, its generators
     ascending, the lists in order of smallest generator. `closed[i]` is the
     closed neighbourhood, as a bitmask, that every member of `twin_sets[i]`
-    has, and `which[v]` is the index of the set holding v. Degrees are read
-    from these per-set masks; the per-vertex `rows` are built only when first
-    asked for, and then kept.
+    has, and `which[v]` is the index of the set holding v. Degrees and
+    ``closed_twins``, the class Laplacian's input, are read from these
+    per-set masks; the per-vertex `rows` are built only when first asked
+    for, and then kept.
     """
 
     def __init__(self, n, group, identity_vertex, twin_sets, closed, which):
@@ -114,6 +123,9 @@ class PowerGraph(Graph):
             for g in members:
                 rows[g] = closed ^ 1 << g
         return rows
+
+    def closed_twins(self) -> tuple[list[int], list[list[int]]]:
+        return self.closed, self.twin_sets
 
     def degree(self, v: int) -> int:
         return self.closed[self.which[v]].bit_count() - 1

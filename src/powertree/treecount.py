@@ -8,9 +8,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, prime_power
-from .determinant import (closed_twin_kappa, det_bareiss, ones_plus_laplacian,
-                          twin_class_kappa)
-from .graphs import Graph, PowerGraph, build_power_graph
+from .determinant import closed_twin_kappa, det_bareiss, ones_plus_laplacian
+from .graphs import Graph, build_power_graph
 from .groups import cyclic_group
 
 # One-step Bareiss on the full J + Q took 0.76-0.90 s at n = 168 (psl2:7), 4.3-4.5 s
@@ -46,28 +45,22 @@ def kappa_matrix_tree(graph: Graph,
 
 def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
-    """Spanning-tree count on the closed-twin class Laplacian (``closed_twin_kappa``),
-    rooted at the class of a vertex u adjacent to every other vertex (the
-    identity of a power graph).
+    """Spanning-tree count on the closed-twin class Laplacian (``closed_twin_kappa``)
+    of the graph's ``closed_twins``, rooted at the first set whose closed
+    neighbourhood is every vertex (the identity's, in a power graph).
 
-    Such a u lies in every block, and no other vertex is a cut vertex, so the
-    blocks are u plus each component of the graph without u, and kappa is the
-    product of their counts. Rooted at u's class, the one elimination is
-    block diagonal over the blocks, so the graph is never split. A power
-    graph hands the kernel its twin sets and their closed neighbourhoods, so
-    the classes are keyed once per cyclic subgroup and no per-vertex row is
-    built; a plain graph is keyed from its rows, and a graph without such a u
-    is rooted at a class of smallest closed degree. The count comes back
-    factored under `factor_bound`; a graph with no vertices, or a
-    disconnected one, raises ValueError.
+    Such a set's vertices lie in every block, and no other vertex is a cut
+    vertex, so the blocks are that class plus each component of the rest,
+    and kappa is the product of their counts. Rooted at that class, the one
+    elimination is block diagonal over the blocks, so the graph is never
+    split. A graph without such a set is rooted at a class of smallest
+    closed degree. The count comes back factored under `factor_bound`; a
+    graph with no vertices, or a disconnected one, raises ValueError.
     """
-    if isinstance(graph, PowerGraph):
-        return closed_twin_kappa(graph.closed, graph.twin_sets, graph.identity_vertex,
-                                 factor_bound)
-    rows = graph.rows
-    n = graph.n
-    u = next((v for v in range(n) if rows[v].bit_count() == n - 1), None)
-    return twin_class_kappa(rows, range(n), u, factor_bound)
+    closed, twin_sets = graph.closed_twins()
+    full = (1 << graph.n) - 1
+    root = next((members[0] for key, members in zip(closed, twin_sets) if key == full), None)
+    return closed_twin_kappa(closed, twin_sets, root, factor_bound)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from powertree import (CLAIM_IDS, DEFAULT_ORDER_CAP, GroupBundle, GroupSpecError
                        verify_maximal_prime_divisor, verify_product_bound,
                        verify_simple_order_count)
 from powertree.arith import decimal_short
-from powertree.determinant import twin_class_kappa
+from powertree.checks import _subgroup_kappa
 from powertree.treecount import kappa_decomposed
 
 
@@ -187,13 +187,13 @@ def _standalone_kappa(spec) -> int:
 
 @pytest.mark.parametrize("spec", ["dihedral:10", "alt:5", "quaternion:16"])
 def test_kappa_on_a_cyclic_subgroup_of_the_power_graph(spec):
-    # P(H) is P(G) induced on H: the product bound counts kappa(H) on G's rows
+    # P(H) is P(G) induced on H: the product bound counts kappa(H) on G's
+    # twin sets inside H, their closed neighbourhoods cut down to H
     group = build_group(spec)
-    rows = build_power_graph(group).rows
+    graph = build_power_graph(group)
     for g in range(group.n):
         members = _closure(group, [g])
-        assert twin_class_kappa(rows, members, group.identity) == _standalone_kappa(
-            f"cyclic:{len(members)}")
+        assert _subgroup_kappa(graph, members) == _standalone_kappa(f"cyclic:{len(members)}")
 
 
 def test_kappa_on_a_noncyclic_subgroup_of_the_power_graph():
@@ -201,13 +201,13 @@ def test_kappa_on_a_noncyclic_subgroup_of_the_power_graph():
     involutions = [g for g in range(a4.n) if a4.order_of(g) == 2]
     klein = _closure(a4, involutions)
     assert len(klein) == 4
-    kappa = twin_class_kappa(build_power_graph(a4).rows, klein, a4.identity)
+    kappa = _subgroup_kappa(build_power_graph(a4), klein)
     assert kappa == _standalone_kappa("elemabelian:2:2") == 1
     q16 = build_group("quaternion:16")
     by_label = {q16.element_label(g): g for g in range(q16.n)}
     q8 = _closure(q16, [by_label["a2"], by_label["b"]])  # <a^2, b>
     assert len(q8) == 8
-    kappa = twin_class_kappa(build_power_graph(q16).rows, q8, q16.identity)
+    kappa = _subgroup_kappa(build_power_graph(q16), q8)
     assert kappa == _standalone_kappa("quaternion:8") == 2 ** 11
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from powertree import (Graph, build_group, build_power_graph, det_bareiss,
                        ones_plus_laplacian)
-from powertree.determinant import ExactnessError, det_sparse_symmetric, twin_class_kappa
+from powertree.determinant import ExactnessError, closed_twin_kappa, det_sparse_symmetric
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -123,22 +123,22 @@ def test_class_laplacian_of_small_graphs():
     # (size 2, closed degree 3) and {2}, so kappa = 3 * 3; the paw is a
     # triangle with a pendant vertex
     bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert [twin_class_kappa(bowtie.rows, range(5), root) for root in range(5)] == [9] * 5
+    assert [closed_twin_kappa(*bowtie.closed_twins(), root) for root in range(5)] == [9] * 5
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert [twin_class_kappa(paw.rows, range(4), root) for root in range(4)] == [3] * 4
+    assert [closed_twin_kappa(*paw.closed_twins(), root) for root in range(4)] == [3] * 4
+    # a plain graph's sets are read from its rows on each call: joining the
+    # pendant vertex to the triangle leaves K4 minus an edge, with 8 trees
+    paw.add_edge(1, 3)
+    assert closed_twin_kappa(*paw.closed_twins()) == 8
 
 
 def test_class_laplacian_rejects_bad_vertex_lists():
+    # a root that begins no set is refused; the sets may come in any order
     cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    for vertices, root, message in [
-        ([1, 2, 3], 0, "root 0 is not among the vertices"),
-        ([0, 1, 2, 3, 3], 0, "5 vertices are listed but only 4 are distinct"),
-        ([0, 1, 2, 3, 7], 0, "vertex 7 is outside the graph's 4 vertices"),
-        ([0, 1, 2, -1], 0, "vertex -1 is negative"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            twin_class_kappa(cycle.rows, vertices, root)
-    assert twin_class_kappa(cycle.rows, [3, 2, 1, 0], 0) == 4
+    closed, twins = cycle.closed_twins()
+    with pytest.raises(ValueError, match="root 7 is not the first member of a set"):
+        closed_twin_kappa(closed, twins, 7)
+    assert closed_twin_kappa(closed[::-1], twins[::-1], 0) == 4
 
 
 def test_sparse_elimination_matches_sympy():
@@ -241,42 +241,45 @@ def test_twin_quotient_matches_full_determinants(graph):
     n2 = graph.n * graph.n
     for root in (None, *range(graph.n)):
         if expected:
-            assert n2 * twin_class_kappa(graph.rows, range(graph.n), root).value == expected
+            assert n2 * closed_twin_kappa(*graph.closed_twins(), root).value == expected
         else:
             with pytest.raises(ValueError, match="requires a connected graph"):
-                twin_class_kappa(graph.rows, range(graph.n), root)
+                closed_twin_kappa(*graph.closed_twins(), root)
 
 
 @settings(max_examples=60, deadline=None)
 @given(twin_graphs(), st.data())
 def test_twin_quotient_on_induced_subgraphs(graph, data):
     vertices = data.draw(st.lists(st.sampled_from(range(graph.n)), unique=True))
-    if not vertices:
-        with pytest.raises(ValueError):
-            twin_class_kappa(graph.rows, vertices)
-        return
     # the induced subgraph, its vertices renumbered in the order drawn
     induced = Graph.from_edges(len(vertices), [
         (i, j) for (i, v), (j, w) in itertools.combinations(enumerate(vertices), 2)
         if graph.has_edge(v, w)
     ])
+    if not vertices:
+        with pytest.raises(ValueError):
+            closed_twin_kappa(*induced.closed_twins())
+        return
     expected = det_bareiss(ones_plus_laplacian(induced))
-    root = data.draw(st.sampled_from(vertices))
+    root = data.draw(st.sampled_from(range(len(vertices))))
     if not expected:  # a disconnected induced subgraph
         with pytest.raises(ValueError, match="requires a connected graph"):
-            twin_class_kappa(graph.rows, vertices, root)
+            closed_twin_kappa(*induced.closed_twins(), root)
         return
-    assert len(vertices) ** 2 * twin_class_kappa(graph.rows, vertices, root).value == expected
+    assert len(vertices) ** 2 * closed_twin_kappa(*induced.closed_twins(), root).value == expected
 
 
 def test_twin_quotient_of_power_graphs():
+    # one set per cyclic subgroup, and the same graph as a plain one keyed
+    # one vertex at a time
     for spec in ("cyclic:12", "quaternion:16", "sym:4", "alt:5", "cyclic:2 x cyclic:6"):
         graph = build_power_graph(build_group(spec))
         expected = det_bareiss(ones_plus_laplacian(graph))
         n2 = graph.n * graph.n
-        assert n2 * twin_class_kappa(graph.rows, range(graph.n)).value == expected
-        assert (n2 * twin_class_kappa(graph.rows, range(graph.n), graph.identity_vertex).value
-                == expected)
+        for view in (graph, Graph(graph.n, graph.rows)):
+            assert n2 * closed_twin_kappa(*view.closed_twins()).value == expected
+            assert (n2 * closed_twin_kappa(*view.closed_twins(), graph.identity_vertex).value
+                    == expected)
     with pytest.raises(ValueError):
-        twin_class_kappa([], [])
-    assert twin_class_kappa([0], [0]) == 1
+        closed_twin_kappa(*Graph(0).closed_twins())
+    assert closed_twin_kappa(*Graph(1).closed_twins()) == 1

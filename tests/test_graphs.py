@@ -144,7 +144,8 @@ def test_power_graph_matches_the_subgroup_definition(spec):
 
 @pytest.mark.parametrize("spec", DEFINITION_PANEL)
 def test_generators_of_one_cyclic_subgroup_are_closed_twins(spec):
-    # twin_class_kappa groups vertices by closed neighbourhood and relies on this
+    # closed_twin_kappa trusts each of a power graph's twin sets to hold closed
+    # twins, and the product bound's kappa(H) merges them by closed neighbourhood
     group = build_group(spec)
     graph = build_power_graph(group)
     closed = {}

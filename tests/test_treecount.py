@@ -19,7 +19,6 @@ from powertree import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, Graph,
                        closed_form_psl2, closed_form_quaternion, compute_kappa,
                        det_bareiss, kappa_decomposed, kappa_matrix_tree, load_manifest,
                        determinant, ones_plus_laplacian, spec_order, treecount)
-from powertree.determinant import twin_class_kappa
 
 from _deletion_contraction import DC_VERTEX_LIMIT, kappa_deletion_contraction
 
@@ -74,7 +73,9 @@ def test_engines_agree(spec):
     graph = _power_graph(spec)
     matrix = ones_plus_laplacian(graph)
     det = det_bareiss(matrix)
-    assert graph.n ** 2 * twin_class_kappa(graph.rows, range(graph.n)).value == det
+    assert graph.n ** 2 * determinant.closed_twin_kappa(*graph.closed_twins()).value == det
+    rows_graph = Graph(graph.n, graph.rows)  # keyed one vertex at a time
+    assert graph.n ** 2 * determinant.closed_twin_kappa(*rows_graph.closed_twins()).value == det
     count = kappa_matrix_tree(graph).value
     assert det == graph.n ** 2 * count
     assert kappa_decomposed(graph).value == count
@@ -149,14 +150,15 @@ def test_every_count_refuses_a_disconnected_graph():
     # the class elimination meets a zero pivot, and det(J + Q) is 0
     graph = Graph.from_edges(4, [(0, 1), (2, 3)])
     for count in (kappa_matrix_tree, kappa_decomposed,
-                  lambda g: twin_class_kappa(g.rows, range(g.n))):
+                  lambda g: determinant.closed_twin_kappa(*g.closed_twins())):
         with pytest.raises(ValueError, match="requires a connected graph"):
             count(graph)
-    # a disconnected induced subgraph of a connected graph, rooted or not
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    for root in (None, 2):
+    # a disconnected induced subgraph of a connected graph, rooted or not: the
+    # path 0 - 1 - 2 induced on its ends 0 and 2, renumbered 0 and 1
+    ends = _induced(Graph.from_edges(3, [(0, 1), (1, 2)]), [0, 2])
+    for root in (None, 1):
         with pytest.raises(ValueError, match="requires a connected graph"):
-            twin_class_kappa(path.rows, [0, 2], root)
+            determinant.closed_twin_kappa(*ends.closed_twins(), root)
 
 
 def test_deletion_contraction_size_limit():
@@ -307,6 +309,13 @@ def connected_twin_graphs(draw):
     return graph
 
 
+def _induced(graph: Graph, vertices) -> Graph:
+    """The subgraph induced on `vertices`, renumbered in their order."""
+    return Graph.from_edges(len(vertices), [
+        (i, j) for (i, v), (j, w) in itertools.combinations(enumerate(vertices), 2)
+        if graph.has_edge(v, w)])
+
+
 def _relabelled(graph: Graph, perm) -> Graph:
     return Graph.from_edges(graph.n, [(perm[a], perm[b]) for a, b in graph.edges()])
 
@@ -328,8 +337,8 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
     assert rem == 0
     product = 1
     for component in graph.components(without=u):
-        piece = component + [u]
-        product *= twin_class_kappa(graph.rows, piece, u).value
+        block = _induced(graph, component + [u])  # u is the block's last vertex
+        product *= determinant.closed_twin_kappa(*block.closed_twins(), block.n - 1).value
     assert product == whole
     assert kappa_decomposed(graph).value == whole
 
@@ -337,15 +346,15 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
 def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
     # the identity is universal, so the whole graph is counted at once, rooted
     # at its class and keyed by the graph's twin sets and their closed
-    # neighbourhoods; the graph is never split into pieces, and no per-vertex
-    # row is built
+    # neighbourhoods, not one vertex at a time; the graph is never split into
+    # pieces, and no per-vertex row is built
     graph = _power_graph("alt:6 x cyclic:2")
     calls = []
     kernel = treecount.closed_twin_kappa
     monkeypatch.setattr(treecount, "closed_twin_kappa",
                         lambda *args, **kwargs: calls.append((args, kwargs))
                         or kernel(*args, **kwargs))
-    monkeypatch.setattr(treecount, "twin_class_kappa",
+    monkeypatch.setattr(Graph, "closed_twins",
                         lambda *args, **kwargs: pytest.fail("keyed from rows"))
     monkeypatch.setattr(Graph, "components", lambda *args, **kwargs: pytest.fail("split"))
     kappa = kappa_decomposed(graph)
@@ -435,27 +444,31 @@ def _kernel_classes(monkeypatch, count):
                          + sorted(KAPPA_BLOCKS_SPECS))
 def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
     # keyed once per cyclic subgroup, the kernel must find the classes that
-    # keying every vertex finds: the same keys, sizes, representatives and
-    # order, on both routes (rooted at the identity, and at no given vertex)
+    # keying every vertex of the same graph as a plain one finds: the same
+    # keys, sizes, representatives and order, on both routes (rooted at the
+    # identity, and at no given vertex)
     graph = _power_graph(spec)
+    rows_graph = Graph(graph.n, graph.rows)
     for root in (graph.identity_vertex, None):
         per_set = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
             graph.closed, graph.twin_sets, root))
-        per_vertex = _kernel_classes(monkeypatch, lambda: twin_class_kappa(
-            graph.rows, range(graph.n), root))
+        per_vertex = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
+            *rows_graph.closed_twins(), root))
         assert per_set == per_vertex
 
 
 @pytest.mark.parametrize("spec", sorted(set(GRAPH_BOUND_SPECS) | set(KAPPA_BLOCKS_SPECS)))
 def test_kappa_and_det_jq_build_no_rows(spec):
-    # both kernel routes, and the claims that read degrees, work from the
-    # per-set closed neighbourhoods: the per-vertex rows are never built
+    # both kernel routes, the claims that read degrees and the product
+    # bound's kappa(H_i) work from the per-set closed neighbourhoods: the
+    # per-vertex rows are never built
     bundle = GroupBundle(spec)
     graph = bundle.graph
     assert bundle.det_jq == graph.n ** 2 * bundle.kappa.value
     assert checks.verify_full_degree_divisor(bundle).holds
     g = max(range(graph.n), key=bundle.group.order_of)
     assert checks.verify_element_degree_divisor(bundle, g).holds
+    assert all(row.holds for row in checks._product_bound_rows(bundle))
     assert "rows" not in vars(graph)
 
 
@@ -496,9 +509,8 @@ def test_twin_sets_must_cover_the_vertices():
         determinant.closed_twin_kappa(graph.closed, graph.twin_sets, 5)
     with pytest.raises(ValueError, match="no vertices"):
         determinant.closed_twin_kappa([], [])
-    # a vertex list's own checks come first
-    with pytest.raises(ValueError, match="root 7 is not among the vertices"):
-        twin_class_kappa(graph.rows, range(6), 7)
+    with pytest.raises(ValueError, match="root 7 is not the first member of a set"):
+        determinant.closed_twin_kappa(graph.closed, graph.twin_sets, 7)
     assert determinant.closed_twin_kappa(graph.closed, graph.twin_sets, 0) == 540
 
 
@@ -517,7 +529,8 @@ def test_fill_heavy_specs_on_both_kernel_routes(spec):
     kappa = kappa_decomposed(graph)
     assert hashlib.sha256(str(kappa).encode()).hexdigest() == FILL_HEAVY_DIGESTS[spec]
     # rooted at a class of smallest closed degree, not at the identity's
-    assert twin_class_kappa(graph.rows, range(graph.n), factor_bound=1).value == kappa.value
+    whole = determinant.closed_twin_kappa(*graph.closed_twins(), factor_bound=1)
+    assert whole.value == kappa.value
 
 
 _OPTIMISED_CHECKS = textwrap.dedent("""
@@ -551,11 +564,12 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     # root class {0, 1} has size 2 and closed degree 3, its others size 1
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     determinant.det_sparse_symmetric = lambda diag, off: 1
-    print("class-laplacian", raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0)))
+    print("class-laplacian",
+          raises(lambda: determinant.closed_twin_kappa(*paw.closed_twins(), 0)))
     # the same at a factor bound of 1, where nothing is trial-divided: the
     # division by the class sizes comes before any factoring
     print("class-laplacian-cofactor",
-          raises(lambda: determinant.twin_class_kappa(paw.rows, range(4), 0, factor_bound=1)))
+          raises(lambda: determinant.closed_twin_kappa(*paw.closed_twins(), 0, factor_bound=1)))
     # a determinant that is not divisible by n^2
     treecount.det_bareiss = lambda matrix: 1
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
