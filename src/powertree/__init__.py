@@ -18,7 +18,7 @@ from .checks import (CLAIM_IDS, GroupBundle, VerificationResult,
 from .graphs import (Component, ComponentDecomposition, Graph, PowerGraph,
                      build_power_graph, component_decomposition,
                      full_degree_vertices, to_dot, to_json, to_json_dict)
-from .groups import (DEFAULT_ORDER_CAP, ElementProfile, FiniteGroup,
+from .groups import (DEFAULT_ORDER_CAP, CyclicSubgroups, FiniteGroup,
                      GroupSpecError, OrderCapError, Spectrum,
                      alternating_group, build_group, cyclic_group,
                      dihedral_group, direct_product,
@@ -40,7 +40,7 @@ __all__ = [
     "SUCCESS_VERDICT",
     "Component",
     "ComponentDecomposition",
-    "ElementProfile",
+    "CyclicSubgroups",
     "ExactnessError",
     "FactoredInt",
     "FiniteGroup",

@@ -352,13 +352,14 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
     n = group.n
     count = 0
     best = None  # (divisor, element, degree, phi)
-    for prof, generators in group.cyclic_subgroups().items():
+    table = group.cyclic_subgroups()
+    for order, generators in zip(table.orders, table.generators):
         g = generators[0]
         k = bundle.graph.degree(g)
-        if k != prof.order - 1:
+        if k != order - 1:
             continue
         count += 1
-        phi = euler_phi(prof.order)
+        phi = euler_phi(order)
         divisor = n * (k + 1) ** phi
         if det % divisor != 0:
             return [verify_element_degree_divisor(bundle, g)]
@@ -392,9 +393,10 @@ def _product_bound_instance(bundle: GroupBundle):
         return None, ("kappa = 1 equals every admissible product bound "
                       "(star-shaped power graph)")
     primes = sorted(spectrum.primes)
-    # cyclic subgroups of prime order, in order of their smallest generator
-    prime_subgroups = [prof.subgroup for prof in group.cyclic_subgroups()
-                       if prof.order in spectrum.primes]
+    # members of the cyclic subgroups of prime order, in order of their smallest generator
+    table = group.cyclic_subgroups()
+    prime_subgroups = [members for order, members in zip(table.orders, table.members)
+                       if order in spectrum.primes]
     if len(primes) == 1:
         chosen = prime_subgroups[:2]
     else:
@@ -409,7 +411,7 @@ def _product_bound_instance(bundle: GroupBundle):
 def _has_outside_witness(bundle: GroupBundle, chosen) -> bool:
     union = set()
     for sub in chosen:
-        union |= sub
+        union.update(sub)
     return any(bundle.graph.degree(v) >= 2
                for v in range(bundle.group.n) if v not in union)
 

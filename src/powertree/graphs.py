@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import isqrt
 
 
 class Graph:
@@ -102,7 +103,9 @@ class PowerGraph(Graph):
     vertices into closed twins: one list per cyclic subgroup, its generators
     ascending, the lists in order of smallest generator. `closed[i]` is the
     closed neighbourhood, as a bitmask, that every member of `twin_sets[i]`
-    has, and `which[v]` is the index of the set holding v. Degrees and
+    has, and `which[v]` is the index of the set holding v. `twin_sets` and
+    `which` are the group's cyclic-subgroup table's `generators` and
+    `which` lists themselves, not copies. Degrees and
     ``closed_twins``, the class Laplacian's input, are read from these
     per-set masks; the per-vertex `rows` are built only when first asked
     for, and then kept.
@@ -141,33 +144,35 @@ def build_power_graph(group) -> PowerGraph:
     x ~ y iff <x> contains <y> or <y> contains <x>, so a vertex's neighbours
     depend only on the cyclic subgroup H it generates: the other generators
     of H and the generators of every other cyclic K with K <= H or H <= K.
-    The closed neighbourhood is built once per H, and all generators of H are
-    closed twins by construction; their lists, in the table's order, are kept
-    as the graph's `twin_sets`, and the neighbourhoods as its `closed`.
+    The group's cyclic-subgroup table gives the graph its twin sets (the
+    generator lists) and `which` as they are. The closed neighbourhood is
+    built once per H from H's generator mask and those of the subgroups
+    <a^d> of H = <a>, one per divisor d of |H|, read from H's members in
+    power order.
     """
-    subgroups = list(group.cyclic_subgroups().items())
-    which = [0] * group.n  # element -> position of the cyclic subgroup it generates
+    table = group.cyclic_subgroups()
+    which = table.which
     gens = []
-    for i, (_, generators) in enumerate(subgroups):
+    for generators in table.generators:
         mask = 0
         for g in generators:
-            which[g] = i
             mask |= 1 << g
         gens.append(mask)
     # generators of the cyclic subgroups comparable with H, H's own included
     closed = gens[:]
-    trivial = which[group.identity]
-    for i, (big, generators) in enumerate(subgroups):
-        if len(generators) == big.order - 1:  # phi(m) = m - 1: m is prime
-            subs = (trivial,)  # the only proper subgroup of a group of prime order
-        else:
-            subs = {which[h] for h in big.subgroup}  # the cyclic subgroups of big
-        for j in subs:
-            if j != i:
-                closed[j] |= gens[i]
-                closed[i] |= gens[j]
-    twin_sets = [generators for _, generators in subgroups]
-    return PowerGraph(group.n, group, group.identity, twin_sets, closed, which)
+    divisors: dict[int, list[int]] = {}  # m -> its divisors above 1
+    for i, (m, members) in enumerate(zip(table.orders, table.members)):
+        ds = divisors.get(m)
+        if ds is None:
+            low = [d for d in range(2, isqrt(m) + 1) if m % d == 0]
+            ds = divisors[m] = low + [m // d for d in low if d * d != m] + [m]
+        # <a^d> for each divisor d of m, a proper subgroup of H = <a>: members[0],
+        # the identity, for d = m (on the trivial H itself, an OR that adds nothing)
+        for d in ds:
+            j = which[members[d % m]]
+            closed[j] |= gens[i]
+            closed[i] |= gens[j]
+    return PowerGraph(group.n, group, group.identity, table.generators, closed, which)
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,7 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
     """
     if graph is None:
         graph = build_power_graph(group)
+    table = group.cyclic_subgroups()
     out = []
     for comp in graph.components(without=graph.identity_vertex):
         mask = 0
@@ -214,9 +220,10 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
         clique = all(graph.rows[v] & mask == mask ^ (1 << v) for v in comp)
         witness = None
         if clique:
-            best = max(comp, key=lambda g: (group.order_of(g), -g))
-            generated = group.cyclic_subgroup(best) - {group.identity}
-            if generated == set(comp):
+            best = max(comp, key=lambda g: (table.orders[table.which[g]], -g))
+            # <best> minus the identity lies in best's component, so it is
+            # the component exactly when the sizes agree
+            if len(table.members[table.which[best]]) == len(comp) + 1:
                 witness = best
         out.append(Component(tuple(comp), clique, witness))
     out.sort(key=lambda c: (-c.size, c.elements))

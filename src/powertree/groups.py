@@ -22,11 +22,19 @@ class OrderCapError(ValueError):
     """Raised when a requested group would exceed the order cap."""
 
 
-class ElementProfile(NamedTuple):
-    """Order data for one group element, shared by every generator of its cyclic subgroup."""
+class CyclicSubgroups(NamedTuple):
+    """A group's cyclic subgroups as four parallel lists, in order of smallest generator.
 
-    order: int
-    subgroup: frozenset[int]
+    Element g generates subgroup `which[g]`. Subgroup i has order
+    `orders[i]`, its members `members[i]` in power order (the identity,
+    then a, a^2, ... for a generator a, so `members[i][1]` generates it
+    unless it is trivial) and its generators `generators[i]`, ascending.
+    """
+
+    which: list[int]
+    orders: list[int]
+    members: list[list[int]]
+    generators: list[list[int]]
 
 
 @dataclass(frozen=True)
@@ -69,6 +77,11 @@ class FiniteGroup:
     subtraction (elementary_abelian_group). Building a group of order n
     costs n index entries and no products. The routines the claims use are
     sized by the generating set: about n*|gens| products each.
+
+    `cyclic_subgroups()` walks the powers of one element per cyclic
+    subgroup that no earlier walk reached, and keeps the result as four
+    flat lists (CyclicSubgroups); `order_of`, `cyclic_subgroup`,
+    `spectrum`, the power graph and the claims all read them.
     """
 
     def __init__(self, label, elements, mul_elem, identity: int, repr_elem=None):
@@ -85,8 +98,7 @@ class FiniteGroup:
         self._mul_elem = mul_elem
         self._repr_elem = repr_elem if repr_elem is not None else str
         self.identity = identity
-        self._profiles: list[ElementProfile] | None = None
-        self._cyclic_subgroups: dict[ElementProfile, list[int]] | None = None
+        self._table: CyclicSubgroups | None = None
         self._spectrum: Spectrum | None = None
         self._generators: list[int] | None = None
         self._simple: bool | None = None
@@ -115,61 +127,79 @@ class FiniteGroup:
 
     # -- element orders and cyclic subgroups --
 
-    def profile(self, a: int) -> ElementProfile:
-        if self._profiles is None:
-            self.cyclic_subgroups()
-        return self._profiles[a]
+    def _subgroup_of(self, a: int) -> int:
+        if not 0 <= a < self.n:
+            raise IndexError(f"element {a} is not an index of {self.label}'s {self.n} elements")
+        return self.cyclic_subgroups().which[a]
 
     def order_of(self, a: int) -> int:
-        return self.profile(a).order
+        return self.cyclic_subgroups().orders[self._subgroup_of(a)]
 
     def cyclic_subgroup(self, a: int) -> frozenset[int]:
-        return self.profile(a).subgroup
+        return frozenset(self.cyclic_subgroups().members[self._subgroup_of(a)])
 
-    def cyclic_subgroups(self) -> dict[ElementProfile, list[int]]:
-        """Each distinct cyclic subgroup's profile -> its generators, ascending,
-        keyed in order of smallest generator. Built once and kept.
+    def cyclic_subgroups(self) -> CyclicSubgroups:
+        """The table of cyclic subgroups, built once and kept.
 
         One walk a, a^2, ... per element a that no earlier walk reached
-        profiles all of <a>: with m = |<a>|, the power a^k generates
-        <a^d> for d = gcd(k, m), whose members are every d-th power. Each
-        walk gives every generator of <a^d> one profile, taken from an
-        earlier walk that reached a^d or else made here, so all generators
-        of a subgroup share one profile.
+        covers all of <a>: with m = |<a>|, the power a^k generates <a^d>
+        for d = gcd(k, m), whose members are every d-th power. An element
+        no walk has reached yet is given the subgroup of a^d, which it
+        shares with every generator of <a^d>; when a^d itself is new, the
+        walk makes <a^d> with the members walk[::d]. The subgroups are
+        numbered in order of smallest generator as a sweep over the
+        elements reaches them.
         """
-        if self._cyclic_subgroups is None:
+        if self._table is None:
             elements, index, mul_elem = self._elements, self._index, self._mul_elem
             identity = self.identity
-            profiles: list[ElementProfile | None] = [None] * self.n
+            walks = [[identity]]  # each subgroup's members, numbered as the walks make them
+            made: list[int | None] = [None] * self.n  # element -> its subgroup's walk number
+            made[identity] = 0
+            gcd_rows: dict[int, list[int]] = {}  # m -> [gcd(k, m) for k < m]
+            place = [-1]  # walk number -> index in the table, once the sweep reaches it
+            which = [0] * self.n
+            orders: list[int] = []
+            members: list[list[int]] = []
+            generators: list[list[int]] = []
             for a in range(self.n):
-                if profiles[a] is not None:
-                    continue
-                members = [identity]
-                e_a = y = elements[a]
-                x = a
-                while x != identity:
-                    members.append(x)
-                    y = mul_elem(y, e_a)
-                    x = index[y]
-                m = len(members)
-                shared: dict[int, ElementProfile] = {}
-                for k, x in enumerate(members):
-                    d = gcd(k, m)
-                    prof = shared.get(d)
-                    if prof is None:
-                        prof = shared[d] = profiles[members[d % m]] or ElementProfile(
-                            m // d, frozenset(members[::d]))
-                    profiles[x] = prof
-            out: dict[ElementProfile, list[int]] = {}
-            for g, prof in enumerate(profiles):
-                out.setdefault(prof, []).append(g)
-            self._profiles = profiles
-            self._cyclic_subgroups = out
-        return self._cyclic_subgroups
+                t = made[a]
+                if t is None:
+                    walk = [identity]
+                    e_a = y = elements[a]
+                    x = a
+                    while x != identity:
+                        walk.append(x)
+                        y = mul_elem(y, e_a)
+                        x = index[y]
+                    m = len(walk)
+                    row = gcd_rows.get(m)
+                    if row is None:
+                        row = gcd_rows[m] = [gcd(k, m) for k in range(m)]
+                    for x, d in zip(walk, row):  # the identity, where d = m, is made already
+                        if made[x] is None:
+                            t = made[walk[d]]
+                            if t is None:  # x = a^d, the first generator of <a^d> reached
+                                t = len(walks)
+                                walks.append(walk[::d] if d > 1 else walk)
+                                place.append(-1)
+                            made[x] = t
+                    t = made[a]
+                i = place[t]
+                if i < 0:
+                    i = place[t] = len(generators)
+                    orders.append(len(walks[t]))
+                    members.append(walks[t])
+                    generators.append([a])
+                else:
+                    generators[i].append(a)
+                which[a] = i
+            self._table = CyclicSubgroups(which, orders, members, generators)
+        return self._table
 
     def spectrum(self) -> Spectrum:
         if self._spectrum is None:
-            per_order = Counter(prof.order for prof in self.cyclic_subgroups())
+            per_order = Counter(self.cyclic_subgroups().orders)
             orders = frozenset(per_order)
             maximal = frozenset(
                 m for m in orders if not any(k != m and k % m == 0 for k in orders)

@@ -82,11 +82,23 @@ def test_cyclic_orders():
 @pytest.mark.parametrize("spec", ["cyclic:12", "quaternion:16", "alt:5"])
 def test_generators_of_a_cyclic_subgroup_share_its_profile(spec):
     group = build_group(spec)
+    which = group.cyclic_subgroups().which
     for a in range(group.n):
         order = group.order_of(a)
         for k in range(1, order):
-            same = group.cyclic_subgroup(group.power(a, k)) is group.cyclic_subgroup(a)
+            same = which[group.power(a, k)] == which[a]
             assert same == (gcd(k, order) == 1)
+
+
+@pytest.mark.parametrize("a", [-1, -6, 6, 7])
+def test_element_lookups_refuse_indices_outside_the_group(a):
+    # a negative index must not wrap round to another element's answers
+    group = build_group("cyclic:6")
+    with pytest.raises(IndexError, match="not an index of cyclic:6's 6 elements"):
+        group.order_of(a)
+    with pytest.raises(IndexError, match="not an index"):
+        group.cyclic_subgroup(a)
+    assert group.order_of(5) == 6 and group.cyclic_subgroup(0) == {0}
 
 
 def _order_histogram(group) -> dict[int, int]:
@@ -126,33 +138,42 @@ def test_cyclic_subgroups_partition_the_generators(spec):
     group = build_group(spec)
     counts = group.spectrum().cyclic_counts
     assert sum(c * euler_phi(m) for m, c in counts.items()) == group.n
-    subgroups = group.cyclic_subgroups()
-    assert group.cyclic_subgroups() is subgroups  # built once and kept
-    smallest = [generators[0] for generators in subgroups.values()]
+    table = group.cyclic_subgroups()
+    assert group.cyclic_subgroups() is table  # built once and kept
+    assert len(table.which) == group.n
+    assert len(table.orders) == len(table.members) == len(table.generators)
+    smallest = [generators[0] for generators in table.generators]
     assert smallest == sorted(smallest)
-    for prof, generators in subgroups.items():
+    assert sorted(itertools.chain(*table.generators)) == list(range(group.n))
+    for i, generators in enumerate(table.generators):
         assert generators == [g for g in range(group.n)
-                              if group.cyclic_subgroup(g) == prof.subgroup]
+                              if group.cyclic_subgroup(g) == frozenset(table.members[i])]
+        assert all(table.which[g] == i for g in generators)
 
 
 @pytest.mark.parametrize("spec", TABLE_GROUPS + KAPPA_BLOCK_GROUPS + ["sym:1", "alt:1", "alt:2"])
 def test_cyclic_subgroup_table_matches_the_powers_of_each_element(spec):
     group = build_group(spec)
-    powers = []  # <a> for each a, from a, a^2, ... by group.mul alone
+    walks = []  # 1, a, a^2, ... for each a, by group.mul alone
     for a in range(group.n):
         members, x = [group.identity], a
         while x != group.identity:
             members.append(x)
             x = group.mul(x, a)
-        powers.append(frozenset(members))
+        walks.append(members)
+    powers = [frozenset(walk) for walk in walks]  # <a> for each a
     expected: dict[frozenset, list[int]] = {}  # keyed in order of smallest generator
     for a, members in enumerate(powers):
         expected.setdefault(members, []).append(a)
+    table = group.cyclic_subgroups()
     assert [group.order_of(a) for a in range(group.n)] == [len(m) for m in powers]
     assert [group.cyclic_subgroup(a) for a in range(group.n)] == powers
-    assert [(prof.order, prof.subgroup, generators)
-            for prof, generators in group.cyclic_subgroups().items()] == [
+    assert [(order, frozenset(members), generators) for order, members, generators
+            in zip(table.orders, table.members, table.generators)] == [
         (len(members), members, generators) for members, generators in expected.items()]
+    # each subgroup's members in power order: those of the generator members[i][1]
+    for members in table.members:
+        assert members == (walks[members[1]] if len(members) > 1 else [group.identity])
 
 
 @pytest.mark.parametrize("spec, labels", [

@@ -457,6 +457,22 @@ def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
         assert per_set == per_vertex
 
 
+@pytest.mark.parametrize("spec", ["sym:5 x cyclic:3", "psl2:13"])
+def test_power_graph_takes_the_table_lists_and_kappa_builds_no_subgroup_set(monkeypatch, spec):
+    # the graph holds the cyclic-subgroup table's own lists, and neither
+    # kernel route asks for a cyclic subgroup as a set
+    monkeypatch.setattr(powertree.FiniteGroup, "cyclic_subgroup",
+                        lambda group, a: pytest.fail("a subgroup set was built"))
+    bundle = GroupBundle(spec)
+    graph = bundle.graph
+    table = bundle.group.cyclic_subgroups()
+    assert graph.twin_sets is table.generators
+    assert graph.which is table.which
+    assert bundle.det_jq == graph.n ** 2 * bundle.kappa.value
+    # their power order: test_groups::test_cyclic_subgroup_table_matches_the_powers_of_each_element
+    assert all(type(members) is list for members in table.members)
+
+
 @pytest.mark.parametrize("spec", sorted(set(GRAPH_BOUND_SPECS) | set(KAPPA_BLOCKS_SPECS)))
 def test_kappa_and_det_jq_build_no_rows(spec):
     # both kernel routes, the claims that read degrees and the product
