@@ -256,7 +256,7 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
             raise ValueError("subgroups must be proper")
         if group.identity not in members:
             raise ValueError("subgroups must contain the identity")
-        if any(group.mul(a, b) not in members for a in members for b in members):
+        if not group.is_subgroup(members):
             raise ValueError(f"a set of {len(members)} elements of {bundle.label} is not closed")
     for i in range(len(member_sets)):
         for j in range(i + 1, len(member_sets)):

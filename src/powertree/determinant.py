@@ -12,10 +12,10 @@ def ones_plus_laplacian(graph) -> list[list[int]]:
     """The all-ones matrix plus the Laplacian: deg+1 on the diagonal, 1 - adjacency off it."""
     n = graph.n
     out = []
-    for i in range(n):
-        row_bits = graph.rows[i]
-        row = [0 if row_bits >> j & 1 else 1 for j in range(n)]
-        row[i] = graph.degree(i) + 1
+    for v, i in enumerate(graph.which):
+        closed = graph.closed[i]
+        row = [0 if closed >> j & 1 else 1 for j in range(n)]
+        row[v] = closed.bit_count()
         out.append(row)
     return out
 
@@ -137,12 +137,13 @@ def closed_twin_kappa(closed, twin_sets, root=None,
 
     The classes are found by hashing each set's key once and adding the
     set's size to that class; k_i is the key's bit count, taken once per
-    class. Every graph hands over its sets through ``Graph.closed_twins``: a
-    power graph's are the generator lists of its cyclic subgroups, with their
-    shared closed neighbourhoods as keys, and a plain graph's are its
-    vertices one by one. The sets are trusted to hold closed twins; only
-    their sizes are checked: they must add up to the number of vertices the
-    closed neighbourhoods cover, which in a connected graph is every vertex.
+    class. Every graph is stored as these sets (``Graph.closed`` and
+    ``Graph.twin_sets``): a power graph's are the generator lists of its
+    cyclic subgroups, with their shared closed neighbourhoods as keys, and a
+    plain graph's are its vertices one by one. The sets are trusted to hold
+    closed twins; only their sizes are checked: they must add up to the
+    number of vertices the closed neighbourhoods cover, which in a connected
+    graph is every vertex.
     With each set ascending and the sets in order of their first members, as
     a power graph's are, each class's representative is its smallest vertex
     and the classes come in order of it, exactly as the vertices one by one

@@ -1,66 +1,72 @@
-"""Undirected graphs on bitset adjacency rows; power graphs of finite groups."""
+"""Undirected graphs as sets of closed twins on bitmasks; power graphs of finite groups."""
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 
 
 class Graph:
-    """Simple undirected graph; row i is an int bitmask of the neighbors of i."""
+    """Simple undirected graph, stored as sets of closed twins.
+
+    `twin_sets` partitions the vertices; `closed[i]` is the closed
+    neighbourhood, as a bitmask with the vertex's own bit set, that every
+    member of `twin_sets[i]` has, and `which[v]` is the index of the set
+    holding v. These three lists are the only store, and ``closed_twin_kappa``
+    takes `closed` and `twin_sets` as they are. A graph built from adjacency
+    rows has each vertex as a set of its own, keyed `rows[v] | 1 << v`;
+    a power graph has one set per cyclic subgroup. There is no mutator.
+    """
 
     def __init__(self, n: int, rows: list[int] | None = None):
+        rows = [0] * n if rows is None else list(rows)
+        if len(rows) != n:
+            raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
+        for v, row in enumerate(rows):
+            if row >> n:  # a negative row included
+                raise ValueError(f"row {v} names a vertex outside 0..{n - 1}")
+            if row >> v & 1:
+                raise ValueError(f"loop at vertex {v} in a simple graph")
+            if any(not rows[w] >> v & 1 for w in _bits(row)):
+                raise ValueError(f"row {v} is not matched by the rows of its neighbours")
         self.n = n
-        self.rows = list(rows) if rows is not None else [0] * n
-        if len(self.rows) != n:
-            raise ValueError(f"expected {n} adjacency rows, got {len(self.rows)}")
+        self.closed = [row | 1 << v for v, row in enumerate(rows)]
+        self.twin_sets = [[v] for v in range(n)]
+        self.which = list(range(n))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        g = cls(n)
+        rows = [0] * n
         for a, b in edges:
-            g.add_edge(a, b)
-        return g
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return cls(n, rows)
 
-    def add_edge(self, a: int, b: int) -> None:
-        if a == b:
-            raise ValueError(f"loop at vertex {a} in a simple graph")
-        self.rows[a] |= 1 << b
-        self.rows[b] |= 1 << a
+    @property
+    def rows(self) -> list[int]:
+        """Row v is the bitmask of v's neighbours, derived on each access."""
+        return [self.closed[i] ^ 1 << v for v, i in enumerate(self.which)]
 
     def has_edge(self, a: int, b: int) -> bool:
-        return bool(self.rows[a] >> b & 1)
+        return a != b and bool(self.closed[self.which[a]] >> b & 1)
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.closed[self.which[v]].bit_count() - 1
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.n):
-            row = self.rows[v] >> (v + 1) << (v + 1)  # neighbors above v
-            while row:
-                low = row & -row
-                out.append((v, low.bit_length() - 1))
-                row ^= low
-        return out
+        """Each edge once, as (v, w) with v < w, in order of v and then w."""
+        return [(v, w) for v, i in enumerate(self.which)
+                for w in _bits(self.closed[i] >> (v + 1) << (v + 1))]
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def closed_twins(self) -> tuple[list[int], list[list[int]]]:
-        """The graph as sets of closed twins with their closed neighbourhoods,
-        the input of ``closed_twin_kappa``: every vertex a set of its own,
-        keyed by its row with its own bit set. Built from `rows` on each
-        call, since ``add_edge`` changes them."""
-        return ([row | 1 << v for v, row in enumerate(self.rows)],
-                [[v] for v in range(self.n)])
 
     def components(self, without: int | None = None) -> list[list[int]]:
         """Connected components by breadth-first search over bitmasks.
 
         With `without` given, the components of the graph with that vertex deleted.
         """
+        closed, which = self.closed, self.which
         unseen = (1 << self.n) - 1
         if without is not None:
             unseen ^= 1 << without
@@ -75,7 +81,7 @@ class Graph:
                 row = frontier
                 while row:
                     low = row & -row
-                    grown |= self.rows[low.bit_length() - 1]
+                    grown |= closed[which[low.bit_length() - 1]]
                     row ^= low
                 frontier = grown & unseen
                 comp |= frontier
@@ -99,16 +105,12 @@ def _bits(mask: int) -> list[int]:
 class PowerGraph(Graph):
     """Power graph of a finite group: x ~ y iff one generates a subgroup containing the other.
 
-    Vertex v is the group element with index v. `twin_sets` partitions the
-    vertices into closed twins: one list per cyclic subgroup, its generators
-    ascending, the lists in order of smallest generator. `closed[i]` is the
-    closed neighbourhood, as a bitmask, that every member of `twin_sets[i]`
-    has, and `which[v]` is the index of the set holding v. `twin_sets` and
-    `which` are the group's cyclic-subgroup table's `generators` and
-    `which` lists themselves, not copies. Degrees and
-    ``closed_twins``, the class Laplacian's input, are read from these
-    per-set masks; the per-vertex `rows` are built only when first asked
-    for, and then kept.
+    Vertex v is the group element with index v. The twin sets are the
+    generator lists of the cyclic subgroups, ascending, the lists in order
+    of smallest generator: `twin_sets` and `which` are the group's
+    cyclic-subgroup table's `generators` and `which` lists themselves, not
+    copies. Every graph method is `Graph`'s, read from these per-set masks;
+    a power graph adds only its group, the identity's vertex and the labels.
     """
 
     def __init__(self, n, group, identity_vertex, twin_sets, closed, which):
@@ -118,20 +120,6 @@ class PowerGraph(Graph):
         self.twin_sets = twin_sets
         self.closed = closed
         self.which = which
-
-    @cached_property
-    def rows(self) -> list[int]:
-        rows = [0] * self.n
-        for members, closed in zip(self.twin_sets, self.closed):
-            for g in members:
-                rows[g] = closed ^ 1 << g
-        return rows
-
-    def closed_twins(self) -> tuple[list[int], list[list[int]]]:
-        return self.closed, self.twin_sets
-
-    def degree(self, v: int) -> int:
-        return self.closed[self.which[v]].bit_count() - 1
 
     @property
     def labels(self) -> list[str]:
@@ -212,12 +200,13 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
     if graph is None:
         graph = build_power_graph(group)
     table = group.cyclic_subgroups()
+    closed, which = graph.closed, graph.which
     out = []
     for comp in graph.components(without=graph.identity_vertex):
         mask = 0
         for v in comp:
             mask |= 1 << v
-        clique = all(graph.rows[v] & mask == mask ^ (1 << v) for v in comp)
+        clique = all(closed[which[v]] & mask == mask for v in comp)
         witness = None
         if clique:
             best = max(comp, key=lambda g: (table.orders[table.which[g]], -g))

@@ -213,24 +213,31 @@ class FiniteGroup:
     # -- generators --
 
     def generating_set(self) -> list[int]:
-        """Greedy generators: each is the smallest index outside the closure so far.
-
-        The closure grows in place: the old members are closed under the old
-        generators, so only the new generator is applied to them, and each
-        element is multiplied by each generator about once.
-        """
+        """Greedy generators: each is the smallest index outside the closure so far."""
         if self._generators is None:
-            gens: list[int] = []
-            maps = []
-            members = {self.identity}
-            for g in range(self.n):
-                if g in members:
-                    continue
-                gens.append(g)
-                maps.append(lambda x, g=g: self.mul(x, g))
-                _grow(members, [self.mul(x, g) for x in members], maps)
-            self._generators = gens
+            self._generators = [g for g, _ in self._greedy_closures(range(self.n))]
         return self._generators
+
+    def is_subgroup(self, members: set[int] | frozenset[int]) -> bool:
+        """True iff the set `members` is a subgroup: the closure of greedy
+        generators taken from it never leaves it. The search stops as soon as
+        the closure does, and takes about |members| * log2 |members| products."""
+        return self.identity in members and all(
+            closure <= members for _, closure in self._greedy_closures(members, len(members)))
+
+    def _greedy_closures(self, candidates, stop: int | None = None):
+        """Yield each candidate outside the closure so far, with the closure
+        grown by it (one set, grown in place). The old members are closed
+        under the old generators, so only the new generator is applied to
+        them, and each element is multiplied by each generator about once;
+        `stop` is passed to ``_grow``."""
+        maps = []
+        closure = {self.identity}
+        for g in candidates:
+            if g not in closure:
+                maps.append(lambda x, g=g: self.mul(x, g))
+                _grow(closure, [self.mul(x, g) for x in closure], maps, stop)
+                yield g, closure
 
     def is_abelian(self) -> bool:
         gens = self.generating_set()

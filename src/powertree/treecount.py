@@ -46,8 +46,9 @@ def kappa_matrix_tree(graph: Graph,
 def kappa_decomposed(graph: Graph,
                      factor_bound: int = DEFAULT_FACTOR_BOUND) -> FactoredInt:
     """Spanning-tree count on the closed-twin class Laplacian (``closed_twin_kappa``)
-    of the graph's ``closed_twins``, rooted at the first set whose closed
-    neighbourhood is every vertex (the identity's, in a power graph).
+    of the graph's own store, `closed` and `twin_sets`, rooted at the first
+    set whose closed neighbourhood is every vertex (the identity's, in a
+    power graph).
 
     Such a set's vertices lie in every block, and no other vertex is a cut
     vertex, so the blocks are that class plus each component of the rest,
@@ -57,10 +58,10 @@ def kappa_decomposed(graph: Graph,
     closed degree. The count comes back factored under `factor_bound`; a
     graph with no vertices, or a disconnected one, raises ValueError.
     """
-    closed, twin_sets = graph.closed_twins()
     full = (1 << graph.n) - 1
-    root = next((members[0] for key, members in zip(closed, twin_sets) if key == full), None)
-    return closed_twin_kappa(closed, twin_sets, root, factor_bound)
+    root = next((members[0] for key, members in zip(graph.closed, graph.twin_sets)
+                 if key == full), None)
+    return closed_twin_kappa(graph.closed, graph.twin_sets, root, factor_bound)
 
 
 @dataclass(frozen=True)

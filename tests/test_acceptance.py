@@ -203,11 +203,8 @@ def test_criterion_09_randomized_engine_agreement():
         produced = 0
         while produced < 200:
             n = rng.randrange(2, 9)
-            graph = Graph(n)
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if rng.random() < 0.5:
-                        graph.add_edge(a, b)
+            graph = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                         if rng.random() < 0.5])
             if not graph.is_connected():
                 continue
             produced += 1

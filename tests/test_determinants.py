@@ -123,19 +123,18 @@ def test_class_laplacian_of_small_graphs():
     # (size 2, closed degree 3) and {2}, so kappa = 3 * 3; the paw is a
     # triangle with a pendant vertex
     bowtie = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    assert [closed_twin_kappa(*bowtie.closed_twins(), root) for root in range(5)] == [9] * 5
+    assert [closed_twin_kappa(bowtie.closed, bowtie.twin_sets, root) for root in range(5)] == [9] * 5
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assert [closed_twin_kappa(*paw.closed_twins(), root) for root in range(4)] == [3] * 4
-    # a plain graph's sets are read from its rows on each call: joining the
-    # pendant vertex to the triangle leaves K4 minus an edge, with 8 trees
-    paw.add_edge(1, 3)
-    assert closed_twin_kappa(*paw.closed_twins()) == 8
+    assert [closed_twin_kappa(paw.closed, paw.twin_sets, root) for root in range(4)] == [3] * 4
+    # the paw's pendant vertex joined to the triangle: K4 minus an edge, 8 trees
+    diamond = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3), (1, 3)])
+    assert closed_twin_kappa(diamond.closed, diamond.twin_sets) == 8
 
 
 def test_class_laplacian_rejects_bad_vertex_lists():
     # a root that begins no set is refused; the sets may come in any order
     cycle = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    closed, twins = cycle.closed_twins()
+    closed, twins = cycle.closed, cycle.twin_sets
     with pytest.raises(ValueError, match="root 7 is not the first member of a set"):
         closed_twin_kappa(closed, twins, 7)
     assert closed_twin_kappa(closed[::-1], twins[::-1], 0) == 4
@@ -213,21 +212,18 @@ def twin_graphs(draw, max_classes=6, max_size=4):
     for size in sizes:
         classes.append([label[v] for v in range(start, start + size)])
         start += size
-    graph = Graph(n)
+    edges = []
     for i, members in enumerate(classes):
         if cliques[i]:
-            for a, b in itertools.combinations(members, 2):
-                graph.add_edge(a, b)
+            edges += itertools.combinations(members, 2)
         for j in range(i + 1, len(classes)):
             if draw(st.booleans()):
-                for a in members:
-                    for b in classes[j]:
-                        graph.add_edge(a, b)
+                edges += [(a, b) for a in members for b in classes[j]]
     for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                               max_size=3)):
         if a != b:
-            graph.add_edge(a, b)
-    return graph
+            edges.append((a, b))
+    return Graph.from_edges(n, edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,10 +237,10 @@ def test_twin_quotient_matches_full_determinants(graph):
     n2 = graph.n * graph.n
     for root in (None, *range(graph.n)):
         if expected:
-            assert n2 * closed_twin_kappa(*graph.closed_twins(), root).value == expected
+            assert n2 * closed_twin_kappa(graph.closed, graph.twin_sets, root).value == expected
         else:
             with pytest.raises(ValueError, match="requires a connected graph"):
-                closed_twin_kappa(*graph.closed_twins(), root)
+                closed_twin_kappa(graph.closed, graph.twin_sets, root)
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,15 +254,15 @@ def test_twin_quotient_on_induced_subgraphs(graph, data):
     ])
     if not vertices:
         with pytest.raises(ValueError):
-            closed_twin_kappa(*induced.closed_twins())
+            closed_twin_kappa(induced.closed, induced.twin_sets)
         return
     expected = det_bareiss(ones_plus_laplacian(induced))
     root = data.draw(st.sampled_from(range(len(vertices))))
     if not expected:  # a disconnected induced subgraph
         with pytest.raises(ValueError, match="requires a connected graph"):
-            closed_twin_kappa(*induced.closed_twins(), root)
+            closed_twin_kappa(induced.closed, induced.twin_sets, root)
         return
-    assert len(vertices) ** 2 * closed_twin_kappa(*induced.closed_twins(), root).value == expected
+    assert len(vertices) ** 2 * closed_twin_kappa(induced.closed, induced.twin_sets, root).value == expected
 
 
 def test_twin_quotient_of_power_graphs():
@@ -277,9 +273,10 @@ def test_twin_quotient_of_power_graphs():
         expected = det_bareiss(ones_plus_laplacian(graph))
         n2 = graph.n * graph.n
         for view in (graph, Graph(graph.n, graph.rows)):
-            assert n2 * closed_twin_kappa(*view.closed_twins()).value == expected
-            assert (n2 * closed_twin_kappa(*view.closed_twins(), graph.identity_vertex).value
+            assert n2 * closed_twin_kappa(view.closed, view.twin_sets).value == expected
+            assert (n2 * closed_twin_kappa(view.closed, view.twin_sets, graph.identity_vertex).value
                     == expected)
+    empty, single = Graph(0), Graph(1)
     with pytest.raises(ValueError):
-        closed_twin_kappa(*Graph(0).closed_twins())
-    assert closed_twin_kappa(*Graph(1).closed_twins()) == 1
+        closed_twin_kappa(empty.closed, empty.twin_sets)
+    assert closed_twin_kappa(single.closed, single.twin_sets) == 1

@@ -4,6 +4,7 @@ import json
 import random
 import tracemalloc
 from collections import Counter
+from functools import cache
 from math import gcd
 
 import networkx as nx
@@ -12,17 +13,15 @@ import pytest
 from powertree import (Graph, build_group, build_power_graph,
                        component_decomposition, full_degree_vertices,
                        kappa_decomposed, load_manifest, to_dot, to_json, to_json_dict)
+from powertree.determinant import ones_plus_laplacian
+from powertree.treecount import MATRIX_TREE_VERTEX_LIMIT
 
 from test_treecount import GRAPH_BOUND_SPECS, KAPPA_BLOCKS_SPECS
 
 
 def _random_graph(rng, n, p):
-    g = Graph(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < p:
-                g.add_edge(a, b)
-    return g
+    return Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                if rng.random() < p])
 
 
 def _as_networkx(g: Graph) -> nx.Graph:
@@ -42,8 +41,8 @@ def test_graph_basics():
     assert g.edge_count() == 2
     assert not g.is_connected()
     assert sorted(map(sorted, g.components())) == [[0, 1, 2], [3]]
-    with pytest.raises(ValueError):
-        g.add_edge(2, 2)
+    with pytest.raises(ValueError, match="loop at vertex 2"):
+        Graph.from_edges(3, [(2, 2)])
 
 
 def test_components_match_networkx():
@@ -148,9 +147,10 @@ def test_generators_of_one_cyclic_subgroup_are_closed_twins(spec):
     # twins, and the product bound's kappa(H) merges them by closed neighbourhood
     group = build_group(spec)
     graph = build_power_graph(group)
+    neighbours = graph.rows
     closed = {}
     for g in range(group.n):
-        closed.setdefault(group.cyclic_subgroup(g), set()).add(graph.rows[g] | 1 << g)
+        closed.setdefault(group.cyclic_subgroup(g), set()).add(neighbours[g] | 1 << g)
     assert all(len(rows) == 1 for rows in closed.values())
 
 
@@ -167,9 +167,12 @@ def test_twin_sets_are_the_generators_of_each_cyclic_subgroup(spec):
     assert sorted(itertools.chain.from_iterable(graph.twin_sets)) == list(range(group.n))
 
 
-def _rows_by_definition(group):
-    """Row v from the definition, one vertex at a time: the w != v with w in <v>
-    or v in <w>."""
+@cache
+def _rows_by_definition(spec):
+    """Row v of the spec's power graph from the definition, one vertex at a
+    time: the w != v with w in <v> or v in <w>. Kept, since three tests read
+    the same specs."""
+    group = build_group(spec)
     subgroup = [group.cyclic_subgroup(g) for g in range(group.n)]
     members = {}  # <g> -> mask of its members
     generators = {}  # <g> -> mask of its generators
@@ -186,22 +189,87 @@ def _rows_by_definition(group):
 
 @pytest.mark.parametrize("spec", sorted(set(load_manifest()) | set(GRAPH_BOUND_SPECS)
                                         | set(KAPPA_BLOCKS_SPECS)))
-def test_rows_on_demand_match_the_definition(spec):
+def test_rows_on_demand_match_the_definition(monkeypatch, spec):
     # degrees and full-degree vertices come from the per-set closed
-    # neighbourhoods without building a row; the rows, built on first access
-    # and then kept, are the definition's
+    # neighbourhoods without building a row; the rows, derived on each
+    # access, are the definition's
     group = build_group(spec)
     graph = build_power_graph(group)
-    expected = _rows_by_definition(group)
+    expected = _rows_by_definition(spec)
     degrees = [row.bit_count() for row in expected]
-    assert [graph.degree(v) for v in range(group.n)] == degrees
-    assert full_degree_vertices(graph) == [v for v, k in enumerate(degrees) if k == group.n - 1]
-    assert graph.edge_count() == sum(degrees) // 2
-    assert "rows" not in vars(graph)
+    with monkeypatch.context() as patch:
+        patch.setattr(Graph, "rows", property(lambda graph: pytest.fail("rows built")))
+        assert [graph.degree(v) for v in range(group.n)] == degrees
+        assert full_degree_vertices(graph) == [v for v, k in enumerate(degrees)
+                                               if k == group.n - 1]
+        assert graph.edge_count() == sum(degrees) // 2
     assert graph.rows == expected
-    assert graph.rows is graph.rows
     for i, (members, closed) in enumerate(zip(graph.twin_sets, graph.closed)):
         assert all(graph.which[g] == i and expected[g] | 1 << g == closed for g in members)
+
+
+@pytest.mark.parametrize("spec", sorted(set(load_manifest()) | set(GRAPH_BOUND_SPECS)
+                                        | set(KAPPA_BLOCKS_SPECS)))
+def test_every_view_of_the_power_graph_is_the_definition(spec):
+    # degree, has_edge, edges(), edge_count(), rows and J + Q all read the one
+    # per-set store, and nothing can change one view alone: there is no
+    # mutator. J + Q, which only the dense reference builds, is checked where
+    # that reference runs, and has_edge against every vertex up to that size
+    # and against 64 evenly spaced vertices above it.
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    n = group.n
+    expected = _rows_by_definition(spec)
+    assert graph.rows == expected
+    assert [graph.degree(v) for v in range(n)] == [row.bit_count() for row in expected]
+    edges = graph.edges()
+    assert len(edges) == graph.edge_count() == sum(r.bit_count() for r in expected) // 2
+    assert all(a < b and expected[a] >> b & 1 for a, b in edges)
+    columns = range(n) if n <= MATRIX_TREE_VERTEX_LIMIT else range(0, n, n // 64)
+    assert all(graph.has_edge(v, w) == bool(expected[v] >> w & 1)
+               for v in range(n) for w in columns)
+    if n <= MATRIX_TREE_VERTEX_LIMIT:
+        assert ones_plus_laplacian(graph) == [
+            [row.bit_count() + 1 if v == w else 1 - (row >> w & 1) for w in range(n)]
+            for v, row in enumerate(expected)]
+    with pytest.raises(AttributeError):
+        graph.add_edge(1, 2)
+
+
+def test_plain_graph_rows_must_describe_a_simple_graph():
+    # rows that no simple graph has would give views that disagree, so they
+    # are refused: a row naming a vertex its neighbour's row does not
+    # return, a loop, or a vertex outside the graph
+    assert Graph(3, [0b010, 0b101, 0b010]).edges() == [(0, 1), (1, 2)]
+    for rows, match in (([0b010, 0b000], "not matched"), ([0b001, 0b000], "loop at vertex 0"),
+                        ([0b100, 0b000], "outside 0..1"), ([-1, 0b000], "outside 0..1")):
+        with pytest.raises(ValueError, match=match):
+            Graph(2, rows)
+
+
+@pytest.mark.parametrize("spec", load_manifest())
+def test_component_decomposition_matches_networkx(spec):
+    # components of the definition graph with the identity removed: sizes in
+    # decreasing order, clique flags, and each clique's witness filling it
+    # with its cyclic subgroup minus the identity
+    group = build_group(spec)
+    rows = _rows_by_definition(spec)
+    h = nx.Graph()
+    h.add_nodes_from(range(group.n))
+    h.add_edges_from((v, w) for v, row in enumerate(rows) for w in range(v) if row >> w & 1)
+    h.remove_node(group.identity)
+    components = sorted((sorted(c) for c in nx.connected_components(h)),
+                        key=lambda c: (-len(c), c))
+    decomposition = component_decomposition(group)
+    assert decomposition.count == len(components)
+    assert decomposition.sizes == [len(c) for c in components]
+    for ours, theirs in zip(decomposition.components, components):
+        assert list(ours.elements) == theirs
+        clique = h.subgraph(theirs).number_of_edges() == len(theirs) * (len(theirs) - 1) // 2
+        assert ours.is_clique == clique
+        # a filler has the largest order in the component; ties go to the smallest
+        fillers = [g for g in theirs if group.cyclic_subgroup(g) - {group.identity} == set(theirs)]
+        assert ours.witness == (min(fillers, default=None) if clique else None)
 
 
 @pytest.mark.parametrize("spec", ["dihedral:2000", "cyclic:1980"])

@@ -73,9 +73,9 @@ def test_engines_agree(spec):
     graph = _power_graph(spec)
     matrix = ones_plus_laplacian(graph)
     det = det_bareiss(matrix)
-    assert graph.n ** 2 * determinant.closed_twin_kappa(*graph.closed_twins()).value == det
+    assert graph.n ** 2 * determinant.closed_twin_kappa(graph.closed, graph.twin_sets).value == det
     rows_graph = Graph(graph.n, graph.rows)  # keyed one vertex at a time
-    assert graph.n ** 2 * determinant.closed_twin_kappa(*rows_graph.closed_twins()).value == det
+    assert graph.n ** 2 * determinant.closed_twin_kappa(rows_graph.closed, rows_graph.twin_sets).value == det
     count = kappa_matrix_tree(graph).value
     assert det == graph.n ** 2 * count
     assert kappa_decomposed(graph).value == count
@@ -121,11 +121,8 @@ def test_random_graphs_match_kirchhoff_minor():
     produced = 0
     while produced < 60:
         n = rng.randrange(2, 9)
-        graph = Graph(n)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if rng.random() < 0.5:
-                    graph.add_edge(a, b)
+        graph = Graph.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                     if rng.random() < 0.5])
         if not graph.is_connected():
             continue
         produced += 1
@@ -136,8 +133,7 @@ def test_random_graphs_match_kirchhoff_minor():
 
 
 def test_disconnected_graphs_rejected():
-    graph = Graph(3)
-    graph.add_edge(0, 1)
+    graph = Graph.from_edges(3, [(0, 1)])
     for count in (kappa_matrix_tree, kappa_decomposed, kappa_deletion_contraction):
         with pytest.raises(ValueError):
             count(graph)
@@ -150,7 +146,7 @@ def test_every_count_refuses_a_disconnected_graph():
     # the class elimination meets a zero pivot, and det(J + Q) is 0
     graph = Graph.from_edges(4, [(0, 1), (2, 3)])
     for count in (kappa_matrix_tree, kappa_decomposed,
-                  lambda g: determinant.closed_twin_kappa(*g.closed_twins())):
+                  lambda g: determinant.closed_twin_kappa(g.closed, g.twin_sets)):
         with pytest.raises(ValueError, match="requires a connected graph"):
             count(graph)
     # a disconnected induced subgraph of a connected graph, rooted or not: the
@@ -158,7 +154,7 @@ def test_every_count_refuses_a_disconnected_graph():
     ends = _induced(Graph.from_edges(3, [(0, 1), (1, 2)]), [0, 2])
     for root in (None, 1):
         with pytest.raises(ValueError, match="requires a connected graph"):
-            determinant.closed_twin_kappa(*ends.closed_twins(), root)
+            determinant.closed_twin_kappa(ends.closed, ends.twin_sets, root)
 
 
 def test_deletion_contraction_size_limit():
@@ -294,19 +290,15 @@ def connected_twin_graphs(draw):
     for size in sizes:
         classes.append(range(start, start + size))
         start += size
-    graph = Graph(start)
+    edges = []
     for i, members in enumerate(classes):
         if cliques[i]:
-            for a, b in itertools.combinations(members, 2):
-                graph.add_edge(a, b)
+            edges += itertools.combinations(members, 2)
         # a tree edge to an earlier class keeps the graph connected
         joined = {draw(st.integers(0, i - 1))} if i else set()
         joined |= {j for j in range(i) if draw(st.booleans())}
-        for j in joined:
-            for a in members:
-                for b in classes[j]:
-                    graph.add_edge(a, b)
-    return graph
+        edges += [(a, b) for j in joined for a in members for b in classes[j]]
+    return Graph.from_edges(start, edges)
 
 
 def _induced(graph: Graph, vertices) -> Graph:
@@ -338,7 +330,7 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
     product = 1
     for component in graph.components(without=u):
         block = _induced(graph, component + [u])  # u is the block's last vertex
-        product *= determinant.closed_twin_kappa(*block.closed_twins(), block.n - 1).value
+        product *= determinant.closed_twin_kappa(block.closed, block.twin_sets, block.n - 1).value
     assert product == whole
     assert kappa_decomposed(graph).value == whole
 
@@ -354,13 +346,11 @@ def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
     monkeypatch.setattr(treecount, "closed_twin_kappa",
                         lambda *args, **kwargs: calls.append((args, kwargs))
                         or kernel(*args, **kwargs))
-    monkeypatch.setattr(Graph, "closed_twins",
-                        lambda *args, **kwargs: pytest.fail("keyed from rows"))
+    monkeypatch.setattr(Graph, "rows", property(lambda graph: pytest.fail("rows built")))
     monkeypatch.setattr(Graph, "components", lambda *args, **kwargs: pytest.fail("split"))
     kappa = kappa_decomposed(graph)
     assert calls == [((graph.closed, graph.twin_sets, graph.identity_vertex,
                        DEFAULT_FACTOR_BOUND), {})]
-    assert "rows" not in vars(graph)
     assert str(kappa) == "2^574*3^302*5^149*7^35*67"
 
 
@@ -453,7 +443,7 @@ def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
         per_set = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
             graph.closed, graph.twin_sets, root))
         per_vertex = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
-            *rows_graph.closed_twins(), root))
+            rows_graph.closed, rows_graph.twin_sets, root))
         assert per_set == per_vertex
 
 
@@ -474,10 +464,11 @@ def test_power_graph_takes_the_table_lists_and_kappa_builds_no_subgroup_set(monk
 
 
 @pytest.mark.parametrize("spec", sorted(set(GRAPH_BOUND_SPECS) | set(KAPPA_BLOCKS_SPECS)))
-def test_kappa_and_det_jq_build_no_rows(spec):
+def test_kappa_and_det_jq_build_no_rows(monkeypatch, spec):
     # both kernel routes, the claims that read degrees and the product
     # bound's kappa(H_i) work from the per-set closed neighbourhoods: the
     # per-vertex rows are never built
+    monkeypatch.setattr(Graph, "rows", property(lambda graph: pytest.fail("rows built")))
     bundle = GroupBundle(spec)
     graph = bundle.graph
     assert bundle.det_jq == graph.n ** 2 * bundle.kappa.value
@@ -485,7 +476,6 @@ def test_kappa_and_det_jq_build_no_rows(spec):
     g = max(range(graph.n), key=bundle.group.order_of)
     assert checks.verify_element_degree_divisor(bundle, g).holds
     assert all(row.holds for row in checks._product_bound_rows(bundle))
-    assert "rows" not in vars(graph)
 
 
 @settings(max_examples=60, deadline=None)
@@ -493,9 +483,10 @@ def test_kappa_and_det_jq_build_no_rows(spec):
 def test_any_partition_into_closed_twins_gives_the_count(graph, rng):
     # each class of closed twins cut into random runs of its members: keyed
     # once per run, the count is the dense reference's
+    rows = graph.rows
     classes = {}
     for v in range(graph.n):
-        classes.setdefault(graph.rows[v] | 1 << v, []).append(v)
+        classes.setdefault(rows[v] | 1 << v, []).append(v)
     twins = []
     for members in classes.values():
         while members:
@@ -503,7 +494,7 @@ def test_any_partition_into_closed_twins_gives_the_count(graph, rng):
             twins.append(members[:cut])
             members = members[cut:]
     rng.shuffle(twins)
-    closed = [graph.rows[members[0]] | 1 << members[0] for members in twins]
+    closed = [rows[members[0]] | 1 << members[0] for members in twins]
     expected = kappa_matrix_tree(graph).value
     assert determinant.closed_twin_kappa(closed, twins).value == expected
 
@@ -545,7 +536,7 @@ def test_fill_heavy_specs_on_both_kernel_routes(spec):
     kappa = kappa_decomposed(graph)
     assert hashlib.sha256(str(kappa).encode()).hexdigest() == FILL_HEAVY_DIGESTS[spec]
     # rooted at a class of smallest closed degree, not at the identity's
-    whole = determinant.closed_twin_kappa(*graph.closed_twins(), factor_bound=1)
+    whole = determinant.closed_twin_kappa(graph.closed, graph.twin_sets, factor_bound=1)
     assert whole.value == kappa.value
 
 
@@ -581,11 +572,11 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     determinant.det_sparse_symmetric = lambda diag, off: 1
     print("class-laplacian",
-          raises(lambda: determinant.closed_twin_kappa(*paw.closed_twins(), 0)))
+          raises(lambda: determinant.closed_twin_kappa(paw.closed, paw.twin_sets, 0)))
     # the same at a factor bound of 1, where nothing is trial-divided: the
     # division by the class sizes comes before any factoring
     print("class-laplacian-cofactor",
-          raises(lambda: determinant.closed_twin_kappa(*paw.closed_twins(), 0, factor_bound=1)))
+          raises(lambda: determinant.closed_twin_kappa(paw.closed, paw.twin_sets, 0, factor_bound=1)))
     # a determinant that is not divisible by n^2
     treecount.det_bareiss = lambda matrix: 1
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
