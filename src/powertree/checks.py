@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
-                    euler_phi, is_prime, prime_power, smallest_prime_power_above)
+                    euler_phi, is_prime, smallest_prime_power_above)
 from .determinant import closed_twin_kappa
 from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
                      component_decomposition, full_degree_vertices)
@@ -74,7 +74,7 @@ class GroupBundle:
     @property
     def decomposition(self) -> ComponentDecomposition:
         if self._decomposition is None:
-            self._decomposition = component_decomposition(self.group, self.graph)
+            self._decomposition = component_decomposition(self.graph)
         return self._decomposition
 
     @property
@@ -120,13 +120,19 @@ def _as_bundle(source) -> GroupBundle:
     return GroupBundle(source)
 
 
+def _p_group_prime(group: FiniteGroup) -> int | None:
+    """The prime p of a p-group, read from the cached spectrum; None for any
+    other group, the trivial group included."""
+    primes = group.spectrum().primes
+    return next(iter(primes)) if len(primes) == 1 else None
+
+
 def verify_component_count(source) -> VerificationResult:
     """p-groups: the reduced power graph has exactly c_p connected components."""
     bundle = _as_bundle(source)
-    pk = prime_power(bundle.group.n)
-    if pk is None:
+    p = _p_group_prime(bundle.group)
+    if p is None:
         raise ValueError(f"{bundle.label} is not a p-group")
-    p = pk[0]
     count = bundle.decomposition.count
     expected = bundle.group.spectrum().cyclic_counts.get(p, 0)
     return VerificationResult(
@@ -154,17 +160,25 @@ def verify_maximal_prime_divisor(source) -> VerificationResult:
     )
 
 
+def _det_divisor_row(bundle: GroupBundle, claim_id: str, lead: str, divisor: int,
+                     note: str = "") -> VerificationResult:
+    """The row of a claim that `divisor` divides det(J+Q); `lead` names the
+    divisor in the witness and `note` ends it."""
+    det = bundle.det_jq
+    holds = det % divisor == 0
+    return VerificationResult(
+        claim_id, bundle.label, holds,
+        f"{lead} {'divides' if holds else 'does not divide'} det(J+Q) = "
+        f"{decimal_short(det)}{note}",
+    )
+
+
 def verify_full_degree_divisor(source) -> VerificationResult:
     """k full-degree vertices force n^k | det(J+Q)."""
     bundle = _as_bundle(source)
     n = bundle.graph.n
     k = len(full_degree_vertices(bundle.graph))
-    det = bundle.det_jq
-    holds = det % n ** k == 0
-    return VerificationResult(
-        "full-degree-det-divisor", bundle.label, holds,
-        f"{n}^{k} {'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(det)}",
-    )
+    return _det_divisor_row(bundle, "full-degree-det-divisor", f"{n}^{k}", n ** k)
 
 
 def verify_maximal_order_divisor(source, m: int) -> VerificationResult:
@@ -175,12 +189,15 @@ def verify_maximal_order_divisor(source, m: int) -> VerificationResult:
     n = bundle.group.n
     phi = euler_phi(m)
     divisor = n * m ** phi
-    holds = bundle.det_jq % divisor == 0
-    return VerificationResult(
-        "maximal-order-det-divisor", bundle.label, holds,
-        f"{n}*{m}^{phi} = {decimal_short(divisor)} "
-        f"{'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(bundle.det_jq)}",
-    )
+    return _det_divisor_row(bundle, "maximal-order-det-divisor",
+                            f"{n}*{m}^{phi} = {decimal_short(divisor)}", divisor)
+
+
+def _element_degree_divisor(n: int, k: int, order: int) -> tuple[int, int]:
+    """(phi(order), n * (k+1)^phi(order)): the det(J+Q) divisor that an
+    element of degree k and that order gives, with its exponent."""
+    phi = euler_phi(order)
+    return phi, n * (k + 1) ** phi
 
 
 def verify_element_degree_divisor(source, g: int) -> VerificationResult:
@@ -193,14 +210,11 @@ def verify_element_degree_divisor(source, g: int) -> VerificationResult:
     if g == group.identity:
         raise ValueError("the identity element is excluded")
     k = bundle.graph.degree(g)
-    phi = euler_phi(group.order_of(g))
-    divisor = n * (k + 1) ** phi
-    holds = bundle.det_jq % divisor == 0
-    return VerificationResult(
-        "element-degree-det-divisor", bundle.label, holds,
-        f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = {decimal_short(divisor)} "
-        f"{'divides' if holds else 'does not divide'} det(J+Q) = {decimal_short(bundle.det_jq)}",
-    )
+    phi, divisor = _element_degree_divisor(n, k, group.order_of(g))
+    return _det_divisor_row(
+        bundle, "element-degree-det-divisor",
+        f"element {group.element_label(g)}: {n}*{k + 1}^{phi} = {decimal_short(divisor)}",
+        divisor)
 
 
 def verify_clique_components(source) -> VerificationResult:
@@ -210,8 +224,8 @@ def verify_clique_components(source) -> VerificationResult:
     applicable rather than a failure.
     """
     bundle = _as_bundle(source)
-    pk = prime_power(bundle.group.n)
-    if pk is None:
+    p = _p_group_prime(bundle.group)
+    if p is None:
         return VerificationResult(
             "clique-components-single-prime", bundle.label, True,
             "not applicable: not a p-group", applicable=False,
@@ -223,7 +237,6 @@ def verify_clique_components(source) -> VerificationResult:
             f"not applicable: a component of size {non_clique.size} is not a clique",
             applicable=False,
         )
-    p = pk[0]
     exponent = bundle.kappa.valuation(p)
     holds = bundle.kappa.value == p ** exponent
     witness = (f"kappa = {bundle.kappa}; prime support {{{p}}}" if exponent
@@ -351,7 +364,7 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
     det = bundle.det_jq
     n = group.n
     count = 0
-    best = None  # (divisor, element, degree, phi)
+    best = None  # (divisor, degree, phi), the first of the largest divisors
     table = group.cyclic_subgroups()
     for order, generators in zip(table.orders, table.generators):
         g = generators[0]
@@ -359,18 +372,17 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
         if k != order - 1:
             continue
         count += 1
-        phi = euler_phi(order)
-        divisor = n * (k + 1) ** phi
+        phi, divisor = _element_degree_divisor(n, k, order)
         if det % divisor != 0:
             return [verify_element_degree_divisor(bundle, g)]
         if best is None or divisor > best[0]:
-            best = (divisor, g, k, phi)
-    divisor, g, k, phi = best
+            best = (divisor, k, phi)
+    divisor, k, phi = best
     plural = "s" if count != 1 else ""
-    witness = (f"{n}*{k + 1}^{phi} = {decimal_short(divisor)} divides det(J+Q) = "
-               f"{decimal_short(det)} (largest divisor over {count} maximal cyclic "
-               f"subgroup{plural})")
-    return [VerificationResult("element-degree-det-divisor", bundle.label, True, witness)]
+    return [_det_divisor_row(
+        bundle, "element-degree-det-divisor",
+        f"{n}*{k + 1}^{phi} = {decimal_short(divisor)}", divisor,
+        f" (largest divisor over {count} maximal cyclic subgroup{plural})")]
 
 
 def _product_bound_instance(bundle: GroupBundle):
@@ -429,7 +441,7 @@ def _product_bound_rows(bundle: GroupBundle) -> list[VerificationResult]:
 # claim id -> the rows it adds for one group, in the runner's order
 _CLAIM_ROWS = {
     "pgroup-component-count": lambda b: (
-        [verify_component_count(b)] if prime_power(b.group.n) is not None else []),
+        [verify_component_count(b)] if _p_group_prime(b.group) is not None else []),
     "maximal-prime-kappa-divisor": lambda b: [verify_maximal_prime_divisor(b)],
     "full-degree-det-divisor": lambda b: [verify_full_degree_divisor(b)],
     "maximal-order-det-divisor": lambda b: [

@@ -81,7 +81,7 @@ def _cmd_kappa(args) -> tuple[int, str]:
 
 def _cmd_components(args) -> tuple[int, str]:
     group = build_group(args.group, args.order_cap)
-    decomposition = component_decomposition(group)
+    decomposition = component_decomposition(build_power_graph(group))
     if args.json:
         payload = {
             "group": group.label,

@@ -47,11 +47,18 @@ class Graph:
         """Row v is the bitmask of v's neighbours, derived on each access."""
         return [self.closed[i] ^ 1 << v for v, i in enumerate(self.which)]
 
+    def _vertex(self, v: int) -> int:
+        """v itself; a vertex outside 0..n-1 is an IndexError, not a list index."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} is outside 0..{self.n - 1}")
+        return v
+
     def has_edge(self, a: int, b: int) -> bool:
+        a, b = self._vertex(a), self._vertex(b)
         return a != b and bool(self.closed[self.which[a]] >> b & 1)
 
     def degree(self, v: int) -> int:
-        return self.closed[self.which[v]].bit_count() - 1
+        return self.closed[self.which[self._vertex(v)]].bit_count() - 1
 
     def edges(self) -> list[tuple[int, int]]:
         """Each edge once, as (v, w) with v < w, in order of v and then w."""
@@ -59,7 +66,7 @@ class Graph:
                 for w in _bits(self.closed[i] >> (v + 1) << (v + 1))]
 
     def edge_count(self) -> int:
-        return sum(self.degree(v) for v in range(self.n)) // 2
+        return sum(self.closed[i].bit_count() - 1 for i in self.which) // 2
 
     def components(self, without: int | None = None) -> list[list[int]]:
         """Connected components by breadth-first search over bitmasks.
@@ -189,17 +196,15 @@ class ComponentDecomposition:
         return [c.size for c in self.components]
 
 
-def component_decomposition(group, graph: PowerGraph | None = None) -> ComponentDecomposition:
+def component_decomposition(graph: PowerGraph) -> ComponentDecomposition:
     """Components of the power graph minus the identity, flagged as cliques with witnesses.
 
-    `graph` is the group's power graph, if already built. For a clique
+    The cyclic subgroups come from the graph's own group. For a clique
     component the witness is an element of maximal order (ties broken by
     smallest index) whose cyclic subgroup, minus the identity, is exactly the
     component.
     """
-    if graph is None:
-        graph = build_power_graph(group)
-    table = group.cyclic_subgroups()
+    table = graph.group.cyclic_subgroups()
     closed, which = graph.closed, graph.which
     out = []
     for comp in graph.components(without=graph.identity_vertex):
@@ -209,10 +214,10 @@ def component_decomposition(group, graph: PowerGraph | None = None) -> Component
         clique = all(closed[which[v]] & mask == mask for v in comp)
         witness = None
         if clique:
-            best = max(comp, key=lambda g: (table.orders[table.which[g]], -g))
+            best = max(comp, key=lambda g: (table.orders[which[g]], -g))
             # <best> minus the identity lies in best's component, so it is
             # the component exactly when the sizes agree
-            if len(table.members[table.which[best]]) == len(comp) + 1:
+            if table.orders[which[best]] == len(comp) + 1:
                 witness = best
         out.append(Component(tuple(comp), clique, witness))
     out.sort(key=lambda c: (-c.size, c.elements))

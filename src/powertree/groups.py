@@ -658,33 +658,37 @@ def _parse_atom(token: str) -> tuple[str, tuple[int, ...]]:
     return family, (first,) if second is None else (first, second)
 
 
+def _parse_spec(spec: str, cap: int | None) -> tuple[list, int]:
+    """A spec's atoms, each as (constructor, parameters), and the order of
+    the group it describes, capped as in spec_order."""
+    atoms = [a.strip() for a in spec.split(" x ")]
+    if not all(atoms):
+        raise GroupSpecError(f"cannot parse group spec {_quoted(spec)}")
+    parsed, orders = [], []
+    for atom in atoms:  # every atom is checked, even past the cap
+        family, params = _parse_atom(atom)
+        order, build = _FAMILIES[family]
+        orders.append(order(*params, cap=cap))
+        parsed.append((build, params))
+    return parsed, _capped_product(orders, cap)
+
+
 def spec_order(spec: str, cap: int | None = None) -> int:
     """Order of the group a spec describes, without building it.
 
     With a cap, an order above the cap may come back as any value above it:
     the factors stop being multiplied once their product passes the cap.
     """
-    atoms = [a.strip() for a in spec.split(" x ")]
-    if not atoms or any(not a for a in atoms):
-        raise GroupSpecError(f"cannot parse group spec {_quoted(spec)}")
-    orders = []
-    for atom in atoms:  # every atom is checked, even past the cap
-        family, params = _parse_atom(atom)
-        orders.append(_FAMILIES[family][0](*params, cap=cap))
-    return _capped_product(orders, cap)
-
-
-def _build_atom(token: str) -> FiniteGroup:
-    family, params = _parse_atom(token)
-    return _FAMILIES[family][1](*params)
+    return _parse_spec(spec, cap)[1]
 
 
 def build_group(spec: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     """Build a group from a spec like ``quaternion:8`` or ``cyclic:2 x cyclic:4``."""
-    if spec_order(spec, cap=order_cap) > order_cap:
+    atoms, order = _parse_spec(spec, order_cap)
+    if order > order_cap:
         raise OrderCapError(f"group {_quoted(spec)} has order above the cap {order_cap}")
-    atoms = [a.strip() for a in spec.split(" x ")]
-    group = _build_atom(atoms[0])
-    for atom in atoms[1:]:
-        group = direct_product(group, _build_atom(atom))
+    (build, params), *rest = atoms
+    group = build(*params)
+    for build, params in rest:
+        group = direct_product(group, build(*params))
     return group

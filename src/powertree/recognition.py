@@ -11,7 +11,7 @@ recorded with the data it derived, so the trace documents the argument:
    maximal element orders;
 4. the classification of simple groups with that prime profile leaves the
    candidates A5, A6 and S4(7);
-5. A5 is eliminated by comparing its published count;
+5. A5 is eliminated: its published count has prime cap 7 and stops at step 4;
 6. S4(7) is eliminated because its maximal element order 56 would force a
    7-adic valuation of at least 20 on the count.
 """
@@ -147,15 +147,9 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
         {"candidates": candidates},
     ))
 
-    # 5: A5 falls to a direct comparison of counts
+    # 5: A5 is eliminated without a comparison: kappa(A5) has prime cap 7,
+    # so that input returned at step 4, and this one differs from it.
     a5, a6, s47 = CANDIDATE_FACTS
-    if value == a5.kappa.value:
-        steps.append(RecognitionStep(
-            5, "alternating-five-elimination",
-            f"input equals kappa(A5) = {a5.kappa}",
-            {"candidate": "A5", "eliminated": False},
-        ))
-        return done("not kappa(A6): this is kappa(A5)")
     steps.append(RecognitionStep(
         5, "alternating-five-elimination",
         f"kappa(A5) = {a5.kappa} differs from the input",
@@ -163,12 +157,13 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
     ))
 
     # 6: S4(7) has maximal element order 56, so |G| * 56^phi(56) would
-    # divide det(J+Q) = kappa * |G|^2, forcing 7^20 | kappa
+    # divide det(J+Q) = kappa * |G|^2, forcing 7^20 | kappa. Step 4 passed
+    # with 7 excluded at step 3, so the 7-adic valuation is below 5 < 20:
+    # S4(7) is always eliminated here.
     m = min(s47.known_max_orders)
     p_elim = max(prime_factors(m))
     required = euler_phi(m) * prime_factors(m)[p_elim] - s47.order_factors[p_elim]
     observed = kappa.valuation(p_elim)
-    eliminated = observed < required
     steps.append(RecognitionStep(
         6, "symplectic-elimination",
         f"were the group S4(7), the maximal order {m} would force "
@@ -176,11 +171,8 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
         f"valuation is {observed}",
         {"candidate": "S4(7)", "prime": p_elim,
          "required_valuation": required, "observed_valuation": observed,
-         "eliminated": eliminated},
+         "eliminated": True},
     ))
-    if not eliminated:
-        return done(f"not kappa(A6): the {p_elim}-adic valuation {observed} "
-                    "is consistent with S4(7)")
     if value != a6.kappa.value:
         return done(f"not kappa(A6): the remaining candidate A6 has "
                     f"kappa(A6) = {a6.kappa}, which differs from the input")

@@ -110,6 +110,42 @@ def test_element_degree_divisor_fails_off_maximal_subgroups():
     assert "over 1 maximal cyclic subgroup)" in row.witness
 
 
+@pytest.mark.parametrize("spec,det,full,maximal,element", [
+    # det(J+Q) is 19440 on cyclic:6 and 1024 on dihedral:8
+    ("cyclic:6", 19441, (False, "6^3 does not divide det(J+Q) = 19441"),
+     "6*6^2 = 216 does not divide det(J+Q) = 19441",
+     "element 1: 6*6^2 = 216 does not divide det(J+Q) = 19441"),
+    ("dihedral:8", 48, (True, "8^1 divides det(J+Q) = 48"),
+     "8*4^2 = 128 does not divide det(J+Q) = 48",
+     "element r1: 8*4^2 = 128 does not divide det(J+Q) = 48"),
+])
+def test_det_divisor_rows_report_a_failure(monkeypatch, spec, det, full, maximal, element):
+    # no group fails these claims, so det(J+Q) is replaced by a value they miss
+    monkeypatch.setattr(GroupBundle, "det_jq", property(lambda self: det))
+    bundle = GroupBundle(spec)
+    row = verify_full_degree_divisor(bundle)
+    assert (row.holds, row.witness) == full
+    (m,) = bundle.group.spectrum().maximal_orders
+    row = verify_maximal_order_divisor(bundle, m)
+    assert (row.holds, row.witness) == (False, maximal)
+    # the runner hands back the verifier's row for the first failing subgroup
+    (row,) = run_verifications([spec], ["element-degree-det-divisor"])
+    assert (row.holds, row.witness) == (False, element)
+    # subgroup 1, <1> or <r1>, is maximal and the first to fail
+    first = bundle.group.cyclic_subgroups().generators[1][0]
+    assert row == verify_element_degree_divisor(bundle, first)
+
+
+def test_element_degree_summary_row_names_the_largest_divisor(monkeypatch):
+    # dihedral:8's maximal cyclic subgroups: <r1>, giving 8*4^2 = 128, and
+    # four reflections, each giving 8*2^1 = 16
+    monkeypatch.setattr(GroupBundle, "det_jq", property(lambda self: 384))
+    (row,) = run_verifications(["dihedral:8"], ["element-degree-det-divisor"])
+    assert row.holds
+    assert row.witness == ("8*4^2 = 128 divides det(J+Q) = 384 "
+                           "(largest divisor over 5 maximal cyclic subgroups)")
+
+
 def test_clique_components_claim():
     result = verify_clique_components("cyclic:8")
     assert result.holds and result.applicable

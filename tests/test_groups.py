@@ -572,6 +572,21 @@ def test_capped_spec_order():
         spec_order("psl2:2002")
 
 
+def test_build_group_parses_each_atom_once(monkeypatch):
+    parsed = []
+    parse_atom = groups._parse_atom
+
+    def counting(token):
+        parsed.append(token)
+        return parse_atom(token)
+
+    monkeypatch.setattr(groups, "_parse_atom", counting)
+    group = build_group("sym:3 x cyclic:3 x elemabelian:2:2")
+    assert group.label == "sym:3 x cyclic:3 x elemabelian:2:2"
+    assert group.n == 72
+    assert parsed == ["sym:3", "cyclic:3", "elemabelian:2:2"]
+
+
 def test_power_graph_smoke_on_products():
     group = build_group("sym:3 x cyclic:3")
     graph = build_power_graph(group)

@@ -1,4 +1,6 @@
 """The tree-count recognition pipeline for the alternating group of degree six."""
+import itertools
+
 import pytest
 import sympy
 
@@ -74,6 +76,37 @@ def test_rejects_near_misses_that_survive_the_sieve():
     assert not sevens.recognized
     assert sevens.steps[2].data["excluded"] == [11]
     assert len(sevens.steps) == 4
+
+
+def test_steps_five_and_six_always_eliminate_their_candidate():
+    # Step 4 passes only at prime cap 13 with 7 and 11 excluded at step 3.
+    # kappa(A5) has prime cap 7, so it stops at step 4 and never meets step 5;
+    # and 7 excluded means a 7-adic valuation below 5, short of the 20 that
+    # S4(7)'s maximal order 56 forces at step 6.
+    a5 = recognize(FactoredInt.parse(A5_COUNT))
+    assert a5.steps[1].data["cap"] == 7
+    assert len(a5.steps) == 4
+    a5_value = FactoredInt.parse(A5_COUNT).value
+    reached = recognized = 0
+    for exponents in itertools.product(range(0, 301, 30), range(0, 161, 40),
+                                       range(0, 217, 36), (0, 1, 4, 5, 6), (0, 3, 8, 9)):
+        kappa = FactoredInt({p: e for p, e in zip((2, 3, 5, 7, 11), exponents) if e})
+        result = recognize(kappa)
+        steps = result.steps
+        assert len(steps) in (1, 4, 6)
+        if len(steps) < 6:
+            continue
+        reached += 1
+        recognized += result.recognized
+        assert steps[3].data["candidates"] == ["A5", "A6", "S4(7)"]
+        assert kappa.value != a5_value
+        assert steps[4].data == {"candidate": "A5", "eliminated": True}
+        final = steps[5].data
+        assert final["observed_valuation"] == kappa.valuation(7) < 5
+        assert final["required_valuation"] == 20
+        assert final["eliminated"] is True
+    assert reached > 1000
+    assert recognized == 1  # 2^180*3^40*5^108 is on the grid
 
 
 def test_requires_a_complete_factorization():
