@@ -15,9 +15,9 @@ from .checks import (CLAIM_IDS, GroupBundle, VerificationResult,
                      verify_full_degree_divisor, verify_maximal_order_divisor,
                      verify_maximal_prime_divisor, verify_product_bound,
                      verify_simple_order_count)
-from .graphs import (Component, ComponentDecomposition, Graph, PowerGraph,
-                     build_power_graph, component_decomposition,
-                     full_degree_vertices, to_dot, to_json, to_json_dict)
+from .graphs import (Component, Graph, PowerGraph, build_power_graph,
+                     component_decomposition, full_degree_vertices, to_dot,
+                     to_json, to_json_dict)
 from .groups import (DEFAULT_ORDER_CAP, CyclicSubgroups, FiniteGroup,
                      GroupSpecError, OrderCapError, Spectrum,
                      alternating_group, build_group, cyclic_group,
@@ -26,7 +26,7 @@ from .groups import (DEFAULT_ORDER_CAP, CyclicSubgroups, FiniteGroup,
                      spec_order, symmetric_group)
 from .determinant import det_bareiss, ones_plus_laplacian
 from .recognition import (SUCCESS_VERDICT, RecognitionResult, RecognitionStep,
-                          SimpleGroupFact, recognize)
+                          recognize)
 from .treecount import (KappaReport, VertexLimitError, closed_form_psl2,
                         closed_form_quaternion, compute_kappa,
                         kappa_decomposed, kappa_matrix_tree)
@@ -39,7 +39,6 @@ __all__ = [
     "CLAIM_IDS",
     "SUCCESS_VERDICT",
     "Component",
-    "ComponentDecomposition",
     "CyclicSubgroups",
     "ExactnessError",
     "FactoredInt",
@@ -52,7 +51,6 @@ __all__ = [
     "PowerGraph",
     "RecognitionResult",
     "RecognitionStep",
-    "SimpleGroupFact",
     "Spectrum",
     "VerificationResult",
     "VertexLimitError",

@@ -13,8 +13,8 @@ from pathlib import Path
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
                     euler_phi, is_prime, smallest_prime_power_above)
 from .determinant import closed_twin_kappa
-from .graphs import (ComponentDecomposition, PowerGraph, build_power_graph,
-                     component_decomposition, full_degree_vertices)
+from .graphs import (Component, PowerGraph, build_power_graph, component_decomposition,
+                     full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
 from .treecount import kappa_decomposed
 
@@ -72,7 +72,7 @@ class GroupBundle:
         return self._graph
 
     @property
-    def decomposition(self) -> ComponentDecomposition:
+    def decomposition(self) -> tuple[Component, ...]:
         if self._decomposition is None:
             self._decomposition = component_decomposition(self.graph)
         return self._decomposition
@@ -133,7 +133,7 @@ def verify_component_count(source) -> VerificationResult:
     p = _p_group_prime(bundle.group)
     if p is None:
         raise ValueError(f"{bundle.label} is not a p-group")
-    count = bundle.decomposition.count
+    count = len(bundle.decomposition)
     expected = bundle.group.spectrum().cyclic_counts.get(p, 0)
     return VerificationResult(
         "pgroup-component-count", bundle.label, count == expected,
@@ -230,7 +230,7 @@ def verify_clique_components(source) -> VerificationResult:
             "clique-components-single-prime", bundle.label, True,
             "not applicable: not a p-group", applicable=False,
         )
-    non_clique = next((c for c in bundle.decomposition.components if not c.is_clique), None)
+    non_clique = next((c for c in bundle.decomposition if not c.is_clique), None)
     if non_clique is not None:
         return VerificationResult(
             "clique-components-single-prime", bundle.label, True,

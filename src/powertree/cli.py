@@ -85,7 +85,7 @@ def _cmd_components(args) -> tuple[int, str]:
     if args.json:
         payload = {
             "group": group.label,
-            "count": decomposition.count,
+            "count": len(decomposition),
             "components": [
                 {
                     "size": c.size,
@@ -93,12 +93,12 @@ def _cmd_components(args) -> tuple[int, str]:
                     "witness": (group.element_label(c.witness)
                                 if c.witness is not None else None),
                 }
-                for c in decomposition.components
+                for c in decomposition
             ],
         }
         return 0, json.dumps(payload, indent=2) + "\n"
-    lines = [f"components = {decomposition.count}"]
-    for i, c in enumerate(decomposition.components, start=1):
+    lines = [f"components = {len(decomposition)}"]
+    for i, c in enumerate(decomposition, start=1):
         if c.witness is not None:
             detail = f"clique from <{group.element_label(c.witness)}>"
         elif c.is_clique:

@@ -71,12 +71,13 @@ class Graph:
     def components(self, without: int | None = None) -> list[list[int]]:
         """Connected components by breadth-first search over bitmasks.
 
-        With `without` given, the components of the graph with that vertex deleted.
+        With `without` given, the components of the graph with that vertex
+        deleted; a vertex outside 0..n-1 is an IndexError.
         """
         closed, which = self.closed, self.which
         unseen = (1 << self.n) - 1
         if without is not None:
-            unseen ^= 1 << without
+            unseen ^= 1 << self._vertex(without)
         out = []
         while unseen:
             start = unseen & -unseen
@@ -183,22 +184,10 @@ class Component:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    components: tuple[Component, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.components)
-
-    @property
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.components]
-
-
-def component_decomposition(graph: PowerGraph) -> ComponentDecomposition:
+def component_decomposition(graph: PowerGraph) -> tuple[Component, ...]:
     """Components of the power graph minus the identity, flagged as cliques with witnesses.
 
+    The components come largest first, ties in order of their elements.
     The cyclic subgroups come from the graph's own group. For a clique
     component the witness is an element of maximal order (ties broken by
     smallest index) whose cyclic subgroup, minus the identity, is exactly the
@@ -221,7 +210,7 @@ def component_decomposition(graph: PowerGraph) -> ComponentDecomposition:
                 witness = best
         out.append(Component(tuple(comp), clique, witness))
     out.sort(key=lambda c: (-c.size, c.elements))
-    return ComponentDecomposition(tuple(out))
+    return tuple(out)
 
 
 def full_degree_vertices(pg: PowerGraph) -> list[int]:

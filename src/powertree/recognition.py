@@ -20,38 +20,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import (FactoredInt, euler_phi, prime_factors, primes_below,
-                    smallest_prime_power_above)
+                    smallest_prime_power_above, valuation)
 
 SUCCESS_VERDICT = "A6 (unique in class S)"
 
-
-@dataclass(frozen=True)
-class SimpleGroupFact:
-    """Published data for one finite simple group."""
-
-    name: str
-    order: int
-    order_factors: dict  # prime -> exponent in |G|
-    known_max_orders: frozenset  # orders known to be maximal under divisibility
-    kappa: FactoredInt | None = None
-
-    def __post_init__(self):
-        product = 1
-        for p, e in self.order_factors.items():
-            product *= p ** e
-        if product != self.order:
-            raise ValueError(f"inconsistent order data for {self.name}")
-
-
-CANDIDATE_FACTS = (
-    SimpleGroupFact("A5", 60, {2: 2, 3: 1, 5: 1}, frozenset({2, 3, 5}),
-                    FactoredInt.parse("3^10*5^18")),
-    SimpleGroupFact("A6", 360, {2: 3, 3: 2, 5: 1}, frozenset({3, 4, 5}),
-                    FactoredInt.parse("2^180*3^40*5^108")),
-    # symplectic group over GF(7): order 7^4*(7^2-1)*(7^4-1)/2
-    SimpleGroupFact("S4(7)", 138_297_600, {2: 8, 3: 2, 5: 2, 7: 4},
-                    frozenset({56})),
-)
+# Published facts of the candidates, only those the steps read
+KAPPA_A5 = FactoredInt.parse("3^10*5^18")
+KAPPA_A6 = FactoredInt.parse("2^180*3^40*5^108")
+CANDIDATES = ("A5", "A6", "S4(7)")  # simple groups left by step 4's prime profile
+S4_7_ORDER = 7**4 * (7**2 - 1) * (7**4 - 1) // 2  # the symplectic group over GF(7)
+S4_7_MAX_ORDER = 56  # a maximal element order of S4(7)
 
 
 @dataclass(frozen=True)
@@ -122,15 +100,14 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
 
     # 4: classification of the remaining simple-group prime profiles
     if cap != 13 or 7 not in excluded or 11 not in excluded:
-        known = next((fact for fact in CANDIDATE_FACTS
-                      if fact.kappa is not None and fact.kappa.value == value), None)
-        if known is not None:
+        # kappa(A6) has prime cap 13 with 7 and 11 barred, so it always passes
+        # this step: kappa(A5) is the one published count that can stop here
+        if value == KAPPA_A5.value:
             steps.append(RecognitionStep(
-                4, "candidate-table",
-                f"input matches the published kappa({known.name})",
-                {"candidates": [known.name]},
+                4, "candidate-table", "input matches the published kappa(A5)",
+                {"candidates": ["A5"]},
             ))
-            return done(f"not kappa(A6): this is kappa({known.name})")
+            return done("not kappa(A6): this is kappa(A5)")
         steps.append(RecognitionStep(
             4, "candidate-table",
             "the classification covers prime cap 13 with 7 and 11 barred "
@@ -139,20 +116,18 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
         ))
         return done("not kappa(A6): no classified simple group matches this "
                     "prime profile")
-    candidates = [fact.name for fact in CANDIDATE_FACTS]
     steps.append(RecognitionStep(
         4, "candidate-table",
         "simple groups whose primes lie in {2, 3, 5, 7, 11} with 7 and 11 "
-        "barred from maximal orders: " + ", ".join(candidates),
-        {"candidates": candidates},
+        "barred from maximal orders: " + ", ".join(CANDIDATES),
+        {"candidates": list(CANDIDATES)},
     ))
 
     # 5: A5 is eliminated without a comparison: kappa(A5) has prime cap 7,
     # so that input returned at step 4, and this one differs from it.
-    a5, a6, s47 = CANDIDATE_FACTS
     steps.append(RecognitionStep(
         5, "alternating-five-elimination",
-        f"kappa(A5) = {a5.kappa} differs from the input",
+        f"kappa(A5) = {KAPPA_A5} differs from the input",
         {"candidate": "A5", "eliminated": True},
     ))
 
@@ -160,9 +135,9 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
     # divide det(J+Q) = kappa * |G|^2, forcing 7^20 | kappa. Step 4 passed
     # with 7 excluded at step 3, so the 7-adic valuation is below 5 < 20:
     # S4(7) is always eliminated here.
-    m = min(s47.known_max_orders)
+    m = S4_7_MAX_ORDER
     p_elim = max(prime_factors(m))
-    required = euler_phi(m) * prime_factors(m)[p_elim] - s47.order_factors[p_elim]
+    required = euler_phi(m) * prime_factors(m)[p_elim] - valuation(S4_7_ORDER, p_elim)
     observed = kappa.valuation(p_elim)
     steps.append(RecognitionStep(
         6, "symplectic-elimination",
@@ -173,7 +148,7 @@ def recognize(kappa: FactoredInt) -> RecognitionResult:
          "required_valuation": required, "observed_valuation": observed,
          "eliminated": True},
     ))
-    if value != a6.kappa.value:
+    if value != KAPPA_A6.value:
         return done(f"not kappa(A6): the remaining candidate A6 has "
-                    f"kappa(A6) = {a6.kappa}, which differs from the input")
+                    f"kappa(A6) = {KAPPA_A6}, which differs from the input")
     return done(SUCCESS_VERDICT)

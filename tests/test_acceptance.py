@@ -159,9 +159,9 @@ def test_criterion_07_component_counts_across_the_corpus():
             assert verify_component_count(GroupBundle(spec)).holds, spec
             checked += 1
         assert checked >= 60
-        sizes = component_decomposition(
-            build_power_graph(build_group("cyclic:2 x cyclic:4"))).sizes
-        assert sizes == [5, 1, 1]
+        decomposition = component_decomposition(
+            build_power_graph(build_group("cyclic:2 x cyclic:4")))
+        assert [c.size for c in decomposition] == [5, 1, 1]
 
 
 def test_criterion_08_claim_suite_has_zero_failures():

@@ -101,10 +101,9 @@ def test_quaternion_power_graph_shape():
     assert not graph.has_edge(1, 4)
     assert not graph.has_edge(4, 5)
     assert graph.identity_vertex == 0
-    decomposition = component_decomposition(graph)
-    assert decomposition.count == 1
-    assert decomposition.sizes == [7]
-    assert not decomposition.components[0].is_clique
+    (only,) = component_decomposition(graph)
+    assert only.size == 7
+    assert not only.is_clique
 
 
 def test_cyclic_six_full_degree():
@@ -116,7 +115,8 @@ def test_cyclic_six_full_degree():
 
 
 def test_vertices_outside_the_graph_are_index_errors():
-    # -1 would read vertex 5 as a list index, and a shift by 99 reads a 0 bit
+    # -1 would read vertex 5 as a list index (or shift by a negative count),
+    # and a shift by 99 reads a 0 bit or sets one past the graph
     graph = build_power_graph(build_group("cyclic:6"))
     for v in (-1, -6, 6, 99):
         with pytest.raises(IndexError, match=f"vertex {v} is outside 0..5"):
@@ -125,7 +125,10 @@ def test_vertices_outside_the_graph_are_index_errors():
             graph.has_edge(v, 0)
         with pytest.raises(IndexError, match=f"vertex {v} is outside 0..5"):
             graph.has_edge(0, v)
+        with pytest.raises(IndexError, match=f"vertex {v} is outside 0..5"):
+            graph.components(without=v)
     assert graph.degree(5) == 5 and graph.has_edge(5, 0)
+    assert graph.components(without=5) == [[0, 1, 2, 3, 4]]
 
 
 def test_power_graph_matches_power_relation():
@@ -274,9 +277,9 @@ def test_component_decomposition_matches_networkx(spec):
     components = sorted((sorted(c) for c in nx.connected_components(h)),
                         key=lambda c: (-len(c), c))
     decomposition = component_decomposition(build_power_graph(group))
-    assert decomposition.count == len(components)
-    assert decomposition.sizes == [len(c) for c in components]
-    for ours, theirs in zip(decomposition.components, components):
+    assert len(decomposition) == len(components)
+    assert [c.size for c in decomposition] == [len(c) for c in components]
+    for ours, theirs in zip(decomposition, components):
         assert list(ours.elements) == theirs
         clique = h.subgraph(theirs).number_of_edges() == len(theirs) * (len(theirs) - 1) // 2
         assert ours.is_clique == clique
@@ -322,10 +325,8 @@ def test_cyclic_power_graph_complete_iff_prime_power(n, complete):
 
 def test_klein_style_product_component_sizes():
     group = build_group("cyclic:2 x cyclic:4")
-    decomposition = component_decomposition(build_power_graph(group))
-    assert decomposition.count == 3
-    assert decomposition.sizes == [5, 1, 1]
-    big, single_a, single_b = decomposition.components
+    big, single_a, single_b = component_decomposition(build_power_graph(group))
+    assert [big.size, single_a.size, single_b.size] == [5, 1, 1]
     assert not big.is_clique and big.witness is None
     for single in (single_a, single_b):
         assert single.is_clique
@@ -335,16 +336,16 @@ def test_klein_style_product_component_sizes():
 
 def test_dihedral_eight_components():
     decomposition = component_decomposition(build_power_graph(build_group("dihedral:8")))
-    assert decomposition.count == 5
-    assert decomposition.sizes == [3, 1, 1, 1, 1]
+    assert len(decomposition) == 5
+    assert [c.size for c in decomposition] == [3, 1, 1, 1, 1]
 
 
 def test_alternating_six_component_census():
     group = build_group("alt:6")
     decomposition = component_decomposition(build_power_graph(group))
-    assert decomposition.count == 121
-    assert Counter(decomposition.sizes) == {3: 45, 2: 40, 4: 36}
-    for component in decomposition.components:
+    assert len(decomposition) == 121
+    assert Counter(c.size for c in decomposition) == {3: 45, 2: 40, 4: 36}
+    for component in decomposition:
         assert component.is_clique
         witness = component.witness
         assert witness is not None

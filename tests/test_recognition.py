@@ -4,8 +4,7 @@ import itertools
 import pytest
 import sympy
 
-from powertree import (SUCCESS_VERDICT, FactoredInt, SimpleGroupFact,
-                       recognize)
+from powertree import SUCCESS_VERDICT, FactoredInt, closed_form_psl2, recognize
 
 A6_COUNT = "2^180*3^40*5^108"
 A5_COUNT = "3^10*5^18"
@@ -82,18 +81,31 @@ def test_steps_five_and_six_always_eliminate_their_candidate():
     # Step 4 passes only at prime cap 13 with 7 and 11 excluded at step 3.
     # kappa(A5) has prime cap 7, so it stops at step 4 and never meets step 5;
     # and 7 excluded means a 7-adic valuation below 5, short of the 20 that
-    # S4(7)'s maximal order 56 forces at step 6.
+    # S4(7)'s maximal order 56 forces at step 6. kappa(A6) always passes
+    # step 4, so the only published count step 4 can match is kappa(A5).
     a5 = recognize(FactoredInt.parse(A5_COUNT))
     assert a5.steps[1].data["cap"] == 7
     assert len(a5.steps) == 4
     a5_value = FactoredInt.parse(A5_COUNT).value
-    reached = recognized = 0
-    for exponents in itertools.product(range(0, 301, 30), range(0, 161, 40),
-                                       range(0, 217, 36), (0, 1, 4, 5, 6), (0, 3, 8, 9)):
-        kappa = FactoredInt({p: e for p, e in zip((2, 3, 5, 7, 11), exponents) if e})
+    a6_value = FactoredInt.parse(A6_COUNT).value
+    grid = (FactoredInt({p: e for p, e in zip((2, 3, 5, 7, 11), exponents) if e})
+            for exponents in itertools.product(range(0, 301, 30), range(0, 161, 40),
+                                               range(0, 217, 36), (0, 1, 4, 5, 6),
+                                               (0, 3, 8, 9)))
+    # L2(4) = L2(5) = A5 and L2(9) = A6, next to the closed forms of L2(7) and L2(8)
+    closed_forms = [closed_form_psl2(q) for q in (4, 5, 7, 8, 9)]
+    reached = recognized = matched = 0
+    for kappa in itertools.chain(grid, [FactoredInt.parse(A5_COUNT)], closed_forms):
         result = recognize(kappa)
         steps = result.steps
         assert len(steps) in (1, 4, 6)
+        if kappa.value == a6_value:
+            assert len(steps) == 6
+        if len(steps) == 4 and steps[3].data["candidates"]:
+            matched += 1
+            assert steps[3].data["candidates"] == ["A5"]
+            assert kappa.value == a5_value
+            assert result.verdict == "not kappa(A6): this is kappa(A5)"
         if len(steps) < 6:
             continue
         reached += 1
@@ -106,7 +118,8 @@ def test_steps_five_and_six_always_eliminate_their_candidate():
         assert final["required_valuation"] == 20
         assert final["eliminated"] is True
     assert reached > 1000
-    assert recognized == 1  # 2^180*3^40*5^108 is on the grid
+    assert matched == 3  # A5_COUNT, L2(4) and L2(5)
+    assert recognized == 2  # 2^180*3^40*5^108 is on the grid, and is L2(9)'s count
 
 
 def test_requires_a_complete_factorization():
@@ -114,11 +127,6 @@ def test_requires_a_complete_factorization():
     assert not partial.fully_factored
     with pytest.raises(ValueError):
         recognize(partial)
-
-
-def test_candidate_facts_validate_their_orders():
-    with pytest.raises(ValueError):
-        SimpleGroupFact("bogus", 100, {2: 2, 5: 1}, frozenset({2}))
 
 
 def _scan_by_powers(value):

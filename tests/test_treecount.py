@@ -365,6 +365,33 @@ def test_kappa_is_invariant_under_relabelling(graph, rng):
     assert compute_kappa(relabelled).kappa.value == expected
 
 
+def test_kappa_is_an_isomorphism_invariant():
+    # kappa depends on the group alone, not on the spec that builds it, and
+    # det(J + Q) = n^2 * kappa holds on each construction; each list below
+    # names one group up to isomorphism
+    classes = [[f"cyclic:{a * b}", f"cyclic:{a} x cyclic:{b}", f"cyclic:{b} x cyclic:{a}"]
+               for a in range(2, 16) for b in range(a + 1, 256 // a + 1)
+               if sympy.gcd(a, b) == 1]
+    classes += [[f"cyclic:{p}", f"elemabelian:{p}:1"] for p in sympy.primerange(2, 100)]
+    classes += [
+        ["dihedral:4", "elemabelian:2:2", "cyclic:2 x cyclic:2"],
+        ["dihedral:6", "sym:3", "psl2:2"],
+        ["psl2:3", "alt:4"],
+        ["psl2:4", "psl2:5", "alt:5"],
+        ["psl2:9", "alt:6"],
+    ]
+    pairs = [("sym:3", "cyclic:4"), ("quaternion:8", "cyclic:3"), ("alt:4", "cyclic:2"),
+             ("dihedral:10", "elemabelian:2:2"), ("alt:5", "cyclic:2"),
+             ("quaternion:12", "dihedral:8")]
+    classes += [[f"{g} x {h}", f"{h} x {g}"] for g, h in pairs]
+    assert len(classes) == 313
+    for specs in classes:
+        bundles = [GroupBundle(spec) for spec in specs]
+        assert len({str(b.kappa) for b in bundles}) == 1, specs
+        for b in bundles:
+            assert b.det_jq == b.group.n ** 2 * b.kappa.value, b.label
+
+
 # the benchmark's graph-bound groups, where every piece through the identity is complete
 GRAPH_BOUND_SPECS = ("cyclic:1024", "cyclic:1331", "cyclic:1849", "elemabelian:2:10",
                      "elemabelian:3:6", "elemabelian:11:3", "elemabelian:43:2")
