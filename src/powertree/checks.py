@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
@@ -39,43 +40,34 @@ class VerificationResult:
 
 
 class GroupBundle:
-    """A group together with lazily computed graphs, counts and determinants."""
+    """A group, from a spec or as built, and its power graph, components and counts,
+    each computed on first use and kept; the CLI and the claims build through it."""
 
     def __init__(self, source, order_cap: int = DEFAULT_ORDER_CAP,
                  factor_bound: int = DEFAULT_FACTOR_BOUND):
-        if isinstance(source, FiniteGroup):
-            self._group = source
-        else:
-            self._group = None
-            self._spec = source
+        self._source = source
         self.order_cap = order_cap
         self.factor_bound = factor_bound
-        self._graph = None
-        self._decomposition = None
         self._det_jq = None
         self._kappa = None
 
-    @property
+    @cached_property
     def group(self) -> FiniteGroup:
-        if self._group is None:
-            self._group = build_group(self._spec, self.order_cap)
-        return self._group
+        if isinstance(self._source, FiniteGroup):
+            return self._source
+        return build_group(self._source, self.order_cap)
 
     @property
     def label(self) -> str:
         return self.group.label
 
-    @property
+    @cached_property
     def graph(self) -> PowerGraph:
-        if self._graph is None:
-            self._graph = build_power_graph(self.group)
-        return self._graph
+        return build_power_graph(self.group)
 
-    @property
+    @cached_property
     def decomposition(self) -> tuple[Component, ...]:
-        if self._decomposition is None:
-            self._decomposition = component_decomposition(self.graph)
-        return self._decomposition
+        return component_decomposition(self.graph)
 
     @property
     def det_jq(self) -> int:

@@ -2,15 +2,16 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 
 from .arith import DEFAULT_FACTOR_BOUND, FactoredInt
-from .checks import CLAIM_IDS, load_manifest, run_verifications
-from .graphs import build_power_graph, component_decomposition, to_dot, to_json
-from .groups import DEFAULT_ORDER_CAP, build_group
+from .checks import CLAIM_IDS, GroupBundle, load_manifest, run_verifications
+from .graphs import to_dot, to_json
+from .groups import DEFAULT_ORDER_CAP
 from .recognition import recognize
 from .treecount import compute_kappa
 
@@ -65,13 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_kappa(args) -> tuple[int, str]:
-    group = build_group(args.group, args.order_cap)
-    graph = build_power_graph(group)
-    report = compute_kappa(graph, factor_bound=args.factor_bound)
+    bundle = GroupBundle(args.group, args.order_cap)
+    report = compute_kappa(bundle.graph, factor_bound=args.factor_bound)
     print(f"engine time: {report.wall_time:.3f}s", file=sys.stderr)
     if args.json:
         payload = {
-            "group": group.label,
+            "group": bundle.label,
             "kappa": str(report.kappa),
             "cross_checked": report.cross_checked,
         }
@@ -80,8 +80,8 @@ def _cmd_kappa(args) -> tuple[int, str]:
 
 
 def _cmd_components(args) -> tuple[int, str]:
-    group = build_group(args.group, args.order_cap)
-    decomposition = component_decomposition(build_power_graph(group))
+    bundle = GroupBundle(args.group, args.order_cap)
+    group, decomposition = bundle.group, bundle.decomposition
     if args.json:
         payload = {
             "group": group.label,
@@ -128,11 +128,7 @@ def _cmd_recognize(args) -> tuple[int, str]:
     result = recognize(kappa)
     if args.json:
         payload = {
-            "steps": [
-                {"number": s.number, "name": s.name, "summary": s.summary,
-                 "data": s.data}
-                for s in result.steps
-            ],
+            "steps": [dataclasses.asdict(s) for s in result.steps],
             "verdict": result.verdict,
         }
         return 0, json.dumps(payload, indent=2) + "\n"
@@ -142,8 +138,7 @@ def _cmd_recognize(args) -> tuple[int, str]:
 
 
 def _cmd_export(args) -> tuple[int, str]:
-    group = build_group(args.group, args.order_cap)
-    graph = build_power_graph(group)
+    graph = GroupBundle(args.group, args.order_cap).graph
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(to_dot(graph))

@@ -117,17 +117,19 @@ class PowerGraph(Graph):
     generator lists of the cyclic subgroups, ascending, the lists in order
     of smallest generator: `twin_sets` and `which` are the group's
     cyclic-subgroup table's `generators` and `which` lists themselves, not
-    copies. Every graph method is `Graph`'s, read from these per-set masks;
-    a power graph adds only its group, the identity's vertex and the labels.
+    copies; `closed` is ``build_power_graph``'s per-set masks. Every graph
+    method is `Graph`'s, read from these; a power graph adds only its group,
+    the identity's vertex and the labels.
     """
 
-    def __init__(self, n, group, identity_vertex, twin_sets, closed, which):
-        self.n = n
+    def __init__(self, group, closed):
+        table = group.cyclic_subgroups()
+        self.n = group.n
         self.group = group
-        self.identity_vertex = identity_vertex
-        self.twin_sets = twin_sets
+        self.identity_vertex = group.identity
+        self.twin_sets = table.generators
         self.closed = closed
-        self.which = which
+        self.which = table.which
 
     @property
     def labels(self) -> list[str]:
@@ -168,7 +170,7 @@ def build_power_graph(group) -> PowerGraph:
             j = which[members[d % m]]
             closed[j] |= gens[i]
             closed[i] |= gens[j]
-    return PowerGraph(group.n, group, group.identity, table.generators, closed, which)
+    return PowerGraph(group, closed)
 
 
 @dataclass(frozen=True)

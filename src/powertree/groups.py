@@ -342,6 +342,27 @@ def cyclic_group(n: int) -> FiniteGroup:
     return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n, 0, str)
 
 
+def _turns_and_flips(label: str, m: int, flip_square: int, turn: str, flip: str) -> FiniteGroup:
+    """Z_m and a flip f with f t f^-1 = t^-1 and f^2 = t^flip_square, for a turn t
+    of order m: (i, j) is t^i f^j, labelled e, {turn}i, {flip} or {turn}i{flip}."""
+    elements = [(i, j) for j in (0, 1) for i in range(m)]
+
+    def mul(u, v):
+        (i1, j1), (i2, j2) = u, v
+        if j1 == 0:
+            return ((i1 + i2) % m, j2)
+        if j2 == 0:
+            return ((i1 - i2) % m, 1)
+        return ((i1 - i2 + flip_square) % m, 0)
+
+    def name(g):
+        i, j = g
+        power = f"{turn}{i}" if i else ""
+        return power + flip if j else power or "e"
+
+    return FiniteGroup(label, elements, mul, 0, name)
+
+
 def _dihedral_order(order: int, cap: int | None = None) -> int:
     if order < 2 or order % 2:
         raise GroupSpecError(f"dihedral order must be even and >= 2, got {order}")
@@ -351,22 +372,7 @@ def _dihedral_order(order: int, cap: int | None = None) -> int:
 def dihedral_group(order: int) -> FiniteGroup:
     """Dihedral group of the given (even) order: rotations r^i and reflections r^i s."""
     _dihedral_order(order)
-    n = order // 2
-    elements = [(i, j) for j in (0, 1) for i in range(n)]
-
-    def mul(u, v):
-        (i1, j1), (i2, j2) = u, v
-        if j1 == 0:
-            return ((i1 + i2) % n, j2)
-        return ((i1 - i2) % n, 1 - j2)
-
-    def label(g):
-        i, j = g
-        if j == 0:
-            return "e" if i == 0 else f"r{i}"
-        return "s" if i == 0 else f"r{i}s"
-
-    return FiniteGroup(f"dihedral:{order}", elements, mul, 0, label)
+    return _turns_and_flips(f"dihedral:{order}", order // 2, 0, "r", "s")
 
 
 def _quaternion_order(order: int, cap: int | None = None) -> int:
@@ -378,25 +384,7 @@ def _quaternion_order(order: int, cap: int | None = None) -> int:
 def quaternion_group(order: int) -> FiniteGroup:
     """Generalized quaternion (dicyclic) group of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1."""
     _quaternion_order(order)
-    two_n = order // 2
-    half = order // 4
-    elements = [(i, j) for j in (0, 1) for i in range(two_n)]
-
-    def mul(u, v):
-        (i1, j1), (i2, j2) = u, v
-        if j1 == 0:
-            return ((i1 + i2) % two_n, j2)
-        if j2 == 0:
-            return ((i1 - i2) % two_n, 1)
-        return ((i1 - i2 + half) % two_n, 0)
-
-    def label(g):
-        i, j = g
-        if j == 0:
-            return "e" if i == 0 else f"a{i}"
-        return "b" if i == 0 else f"a{i}b"
-
-    return FiniteGroup(f"quaternion:{order}", elements, mul, 0, label)
+    return _turns_and_flips(f"quaternion:{order}", order // 2, order // 4, "a", "b")
 
 
 def _elementary_abelian_order(p: int, k: int, cap: int | None = None) -> int:
@@ -487,7 +475,7 @@ def _symmetric_order(n: int, cap: int | None = None) -> int:
 
 def symmetric_group(n: int) -> FiniteGroup:
     _symmetric_order(n)
-    elements = sorted(itertools.permutations(range(n)))  # the identity sorts first
+    elements = list(itertools.permutations(range(n)))  # lexicographic: the identity first
     return FiniteGroup(f"sym:{n}", elements, _compose, 0, cycle_notation)
 
 
@@ -499,9 +487,7 @@ def _alternating_order(n: int, cap: int | None = None) -> int:
 
 def alternating_group(n: int) -> FiniteGroup:
     _alternating_order(n)
-    elements = sorted(
-        p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1
-    )
+    elements = [p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1]
     return FiniteGroup(f"alt:{n}", elements, _compose, 0, cycle_notation)
 
 

@@ -44,6 +44,22 @@ def test_bundle_caches_and_shortcuts():
     assert from_group.det_jq == 540 * 36
 
 
+def test_bundle_keeps_its_group_graph_and_components():
+    group = build_group("dihedral:8")
+    bundle = GroupBundle(group)
+    assert bundle.group is group
+    assert bundle.graph is bundle.graph
+    assert bundle.graph.group is group
+    decomposition = bundle.decomposition
+    assert isinstance(decomposition, tuple) and len(decomposition) == 5
+    assert bundle.decomposition is decomposition
+    # a spec is built on first use: an over-cap one is refused then, and again
+    over = GroupBundle("cyclic:6", order_cap=5)
+    for _ in range(2):
+        with pytest.raises(OrderCapError):
+            over.group
+
+
 def test_component_count_claim():
     assert verify_component_count("quaternion:8").holds
     d8 = verify_component_count("dihedral:8")

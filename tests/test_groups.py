@@ -468,6 +468,30 @@ def test_family_labels():
     assert any("(" in s3.element_label(g) for g in range(6))
 
 
+def _labels_and_table(group):
+    """The labels in index order, then each row of the product table."""
+    lines = [" ".join(group.element_label(g) for g in range(group.n))]
+    lines += [" ".join(str(group.mul(a, b)) for b in range(group.n)) for a in range(group.n)]
+    return "\n".join(lines)
+
+
+# family -> (the orders covered, sha256 of their labels and product tables)
+TURN_AND_FLIP_DIGESTS = {
+    "dihedral": (range(2, 65, 2),
+                 "e59b74ea6aafc86c7b8b7515075d79c6b3ed6f8d2b8be9272dc6b0ce310b15d3"),
+    "quaternion": (range(8, 65, 4),
+                   "be3363e7ea46babb502518f42c74e9b40351f3f471d03b15e8d9bf0bdae5a396"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(TURN_AND_FLIP_DIGESTS))
+def test_dihedral_and_quaternion_tables_are_pinned(family):
+    # the two families share one constructor; every label and product is pinned
+    orders, digest = TURN_AND_FLIP_DIGESTS[family]
+    text = "\n".join(_labels_and_table(build_group(f"{family}:{order}")) for order in orders)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_spec_order_without_building():
     assert spec_order("sym:8") == 40320
     assert spec_order("alt:6") == 360
