@@ -434,21 +434,6 @@ def _compose(a, b):
     return itemgetter(*b)(a) if len(b) > 1 else a
 
 
-def _permutation_parity(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if not seen[i]:
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
-
-
 def cycle_notation(perm) -> str:
     """Cycle notation on point indices, 'e' for the identity."""
     parts = []
@@ -486,8 +471,15 @@ def _alternating_order(n: int, cap: int | None = None) -> int:
 
 
 def alternating_group(n: int) -> FiniteGroup:
+    """The even permutations, in itertools.permutations order. The k-th one's
+    Lehmer code is the factorial-base digits of k, so its parity is their sum
+    mod 2: the mask for n points is n blocks of the mask for n - 1, the
+    odd-numbered blocks (first digit odd) flipped."""
     _alternating_order(n)
-    elements = [p for p in itertools.permutations(range(n)) if _permutation_parity(p) == 1]
+    mask, flip = b"\1", bytes.maketrans(b"\0\1", b"\1\0")
+    for m in range(2, n + 1):
+        mask = (mask + mask.translate(flip)) * (m // 2) + mask * (m % 2)
+    elements = itertools.compress(itertools.permutations(range(n)), mask)
     return FiniteGroup(f"alt:{n}", elements, _compose, 0, cycle_notation)
 
 
@@ -499,15 +491,16 @@ def _psl2_order(q: int, cap: int | None = None) -> int:
     return q * (q * q - 1) // gcd(2, q - 1)
 
 
-def _psl2_generators(q: int) -> list[tuple[int, ...]]:
-    """The permutations x -> x+1, x -> u*x and x -> -1/x of the projective line
-    over GF(q), on field indices sum c_i * p^i with q for infinity.
+def _psl2_generators(q: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], tuple]:
+    """The translations x -> x+c (c = 0, 1, ..., q-1), the scalings
+    x -> lam^(2i)*x (0 <= i < (q-1)/gcd(2, q-1)) and the flip x -> -1/x of the
+    projective line over GF(q), on field indices sum c_i * p^i with q for infinity.
 
     GF(p^k) is taken modulo the monic irreducible of degree k with the smallest
     encoding, found by trial division by every monic polynomial of degree at
     most k/2. The primitive element lam is the one with the smallest index, and
-    its exp/log tables give u*x = lam^(log x + 2) with u = lam^2 and
-    -1/x = -lam^(-log x); x+1 changes only the lowest digit.
+    its exp/log tables give lam^(2i)*x = lam^(log x + 2i) and
+    -1/x = -lam^(-log x); addition is digit by digit.
     """
     p, k = prime_power(q)
 
@@ -552,32 +545,37 @@ def _psl2_generators(q: int) -> list[tuple[int, ...]]:
     for e, x in enumerate(exp):
         log[x] = e
 
-    def negate(x):
-        return index(-c % p for c in digits(x))
-
-    translate = tuple(x - x % p + (x + 1) % p for x in range(q)) + (q,)
-    scale = (0,) + tuple(exp[(log[x] + 2) % (q - 1)] for x in range(1, q)) + (q,)
-    flip = (q,) + tuple(negate(exp[-log[x] % (q - 1)]) for x in range(1, q)) + (0,)
-    return [translate, scale, flip]
+    # adds[c][x] = x + c, lowest digit fastest in both c and x, from one digit's table
+    adds = digit = [[(a + c) % p for a in range(p)] for c in range(p)]
+    for _ in range(k - 1):
+        adds = [[p * h + lo for h in high for lo in low] for high in adds for low in digit]
+    translations = [tuple(row) + (q,) for row in adds]
+    scalings = [(0,) + tuple(exp[(log[x] + 2 * i) % (q - 1)] for x in range(1, q)) + (q,)
+                for i in range((q - 1) // gcd(2, q - 1))]
+    flip = (q,) + tuple(adds[exp[-log[x] % (q - 1)]].index(0) for x in range(1, q)) + (0,)
+    return translations, scalings, flip
 
 
 def psl2_group(q: int) -> FiniteGroup:
     """PSL(2, q) acting on the projective line: q+1 points, field indices plus q for infinity.
 
-    Generated as the permutation closure of x -> x+1, x -> u*x with u the square
-    of a primitive element (the square keeps the maps inside PSL for odd q;
-    for even q the square is itself primitive), and x -> -1/x.
+    Built from the Bruhat decomposition PSL(2, q) = B ⊔ B·w·U: U is the q
+    translations x -> x+c, B = {x -> lam^(2i)*(x+c)} and w is x -> -1/x. Each
+    lies in PSL(2, q) (the scaling by lam^(2i) is diag(lam^i, lam^-i)), so
+    |B|·(q+1) = |PSL(2, q)| distinct products are the whole group. Each is one
+    itemgetter call on a product already built.
     """
     expected = _psl2_order(q)
-    generators = _psl2_generators(q)
-    identity = tuple(range(q + 1))
-    seen = _grow(set(), [identity], [itemgetter(*g) for g in generators])
-    if len(seen) != expected:
-        raise RuntimeError(
-            f"psl2:{q} closure has {len(seen)} elements, expected {expected}"
-        )
+    translations, scalings, flip = _psl2_generators(q)
+    add_first = [itemgetter(*u) for u in translations]  # g -> g∘u: x -> g(x + c)
+    flip_first = itemgetter(*flip)  # b -> b∘w: x -> b(-1/x)
+    borel = [u(s) for s in scalings for u in add_first]
+    elements = set(borel)
+    elements.update(u(flip_first(b)) for b in borel for u in add_first)
+    if len(elements) != expected:
+        raise RuntimeError(f"psl2:{q} has {len(elements)} distinct products, expected {expected}")
     # the identity permutation sorts first
-    return FiniteGroup(f"psl2:{q}", sorted(seen), _compose, 0, cycle_notation)
+    return FiniteGroup(f"psl2:{q}", sorted(elements), _compose, 0, cycle_notation)
 
 
 def direct_product(left: FiniteGroup, right: FiniteGroup) -> FiniteGroup:

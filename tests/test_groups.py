@@ -215,7 +215,9 @@ def _cycle_lengths(perm) -> list[int]:
 
 @pytest.mark.parametrize("q", [q for q in range(2, 258) if prime_power(q)])
 def test_psl2_generators_from_the_field_tables(q):
-    translate, scale, flip = groups._psl2_generators(q)
+    translations, scalings, flip = groups._psl2_generators(q)
+    # x -> lam^2*x; for q = 2 and 3 that is the identity, their only scaling
+    translate, scale = translations[1], scalings[1 % len(scalings)]
     infinity = q
     p, _ = prime_power(q)
     # x -> x + 1: q/p p-cycles on the field (one q-cycle for prime q), fixing infinity
@@ -246,6 +248,42 @@ def test_psl2_element_lists_are_pinned(q):
     group = psl2_group(q)
     labels = "\n".join(group.element_label(g) for g in range(group.n))
     assert hashlib.sha256(labels.encode()).hexdigest() == PSL2_ELEMENT_DIGESTS[q]
+
+
+def _parity_filter(n):
+    """The permutations of n points with an even number of inversions, in
+    itertools.permutations order."""
+    return [perm for perm in itertools.permutations(range(n))
+            if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_alternating_group_is_the_parity_filter(n):
+    assert alternating_group(n)._elements == _parity_filter(n)
+
+
+def _closure_of_the_psl2_generators(q):
+    """PSL(2, q) as the breadth-first closure of x -> x+1, x -> lam^2*x and
+    x -> -1/x under right multiplication, sorted."""
+    translations, scalings, flip = groups._psl2_generators(q)
+    maps = [translations[1], scalings[1 % len(scalings)], flip]
+    seen, frontier = set(), [tuple(range(q + 1))]
+    while frontier:
+        fresh = [g for g in set(frontier) if g not in seen]
+        seen.update(fresh)
+        frontier = [tuple(g[x] for x in m) for g in fresh for m in maps]
+    return sorted(seen)
+
+
+# every prime power q with |PSL(2, q)| <= 2000, and two fields GF(p^k) beyond it
+PSL2_CLOSURE_FIELDS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 27]
+
+
+def test_psl2_group_is_the_closure_of_its_generators():
+    for q in PSL2_CLOSURE_FIELDS:
+        group = psl2_group(q)
+        assert group.n == spec_order(f"psl2:{q}")
+        assert group._elements == _closure_of_the_psl2_generators(q)
 
 
 def _tuple_elementary_abelian(p, k):
