@@ -1,9 +1,10 @@
 """Small number-theory helpers and integers carried with their factorizations."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, compress, count, takewhile
+from itertools import chain, compress, count, islice, takewhile
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -58,13 +59,16 @@ def is_prime(n: int) -> bool:
 
 
 def iter_primes():
-    """Yield 2, 3, 5, 7, 11, ... without bound, from a sieve whose range
-    doubles each time the primes below it run out."""
-    taken, limit = 0, 64
+    """Yield 2, 3, 5, 7, 11, ... without bound, from the kept prime list,
+    which is sieved again over at least twice its range each time a reader
+    runs past its end."""
+    limit, taken = 64, 0
     while True:
-        primes = primes_below(limit)
-        yield from primes[taken:]
-        taken, limit = len(primes), 2 * limit
+        primes = _kept_primes(limit)
+        yield from islice(primes, taken, None)
+        taken = len(primes)
+        # by Bertrand's postulate, twice the largest prime is past the sieved range
+        limit = 2 * primes[-1]
 
 
 def primes_below(limit: int) -> list[int]:
@@ -97,14 +101,31 @@ def smallest_prime_power_above(value: int, exponent) -> int:
             return p
 
 
+# Every prime below _kept_limit, ascending. The list is replaced, never
+# changed in place, so a reader may keep iterating the one it was handed.
+_kept_limit = 0
+_kept: list[int] = []
+
+
+def _kept_primes(limit: int) -> list[int]:
+    """The kept prime list, first sieved again up to max(limit, twice its
+    range) if it does not yet hold every prime below `limit`."""
+    global _kept_limit, _kept
+    if limit > _kept_limit:
+        _kept_limit = max(limit, 2 * _kept_limit)
+        _kept = primes_below(_kept_limit)
+    return _kept
+
+
 # trial division walks the primes below this, then odd numbers
 _TRIAL_TABLE_LIMIT = 10_000
 
 
 @cache
 def _trial_primes() -> list[int]:
-    """The 1229 primes below _TRIAL_TABLE_LIMIT, sieved on first use."""
-    return primes_below(_TRIAL_TABLE_LIMIT)
+    """The 1229 primes below _TRIAL_TABLE_LIMIT, read from the kept list on first use."""
+    primes = _kept_primes(_TRIAL_TABLE_LIMIT)
+    return primes[:bisect_left(primes, _TRIAL_TABLE_LIMIT)]
 
 
 def _trial_divisors():

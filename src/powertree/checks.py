@@ -244,8 +244,8 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
     """Pairwise trivially intersecting proper subgroups H_i force
     kappa(G) > kappa(H_1) * ... * kappa(H_t).
 
-    P(H) is P(G) induced on H, so each kappa(H_i) is counted on the group's
-    own power graph, by ``_subgroup_kappa``.
+    Each given set is checked to be a nontrivial proper subgroup, and the
+    sets to meet only in the identity; then ``_product_bound_row`` counts.
     """
     bundle = _as_bundle(source)
     group = bundle.group
@@ -267,15 +267,23 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
         for j in range(i + 1, len(member_sets)):
             if member_sets[i] & member_sets[j] != {group.identity}:
                 raise ValueError("subgroup intersections must be trivial")
+    return _product_bound_row(bundle, member_sets)
+
+
+def _product_bound_row(bundle: GroupBundle, subgroups) -> VerificationResult:
+    """The product bound's row for subgroups already known to be nontrivial,
+    proper and pairwise trivially intersecting, each given as its distinct
+    elements. P(H) is P(G) induced on H, so each kappa(H_i) is counted on the
+    group's own power graph, by ``_subgroup_kappa``."""
     product = 1
-    for members in member_sets:
+    for members in subgroups:
         product *= _subgroup_kappa(bundle.graph, members)
     kappa = bundle.kappa
     holds = kappa.value > product
     return VerificationResult(
         "trivial-intersection-product-bound", bundle.label, holds,
         f"kappa = {kappa} {'>' if holds else '<='} {decimal_short(product)} "
-        f"(product over subgroups of orders {[len(members) for members in member_sets]})",
+        f"(product over subgroups of orders {[len(members) for members in subgroups]})",
     )
 
 
@@ -350,30 +358,36 @@ def _element_degree_rows(bundle: GroupBundle) -> list[VerificationResult]:
     # maximal cyclic); other elements can and do violate it.  One row per
     # group, covering the smallest generator of each maximal cyclic subgroup.
     # The identity (degree n - 1, order 1) never qualifies once n > 1.
+    # A subgroup's generators are one twin set, whose closed neighbourhood
+    # holds the subgroup, and the subgroup is maximal when it holds nothing
+    # more. Then k = m - 1 for the order m, so the divisor n * m^phi(m)
+    # depends on the order alone and is tested once per order.
     group = bundle.group
     if group.n == 1:
         return []
     det = bundle.det_jq
     n = group.n
     count = 0
-    best = None  # (divisor, degree, phi), the first of the largest divisors
+    tested = set()  # the orders whose divisor divides det
+    best = None  # (divisor, order, phi), the first of the largest divisors
     table = group.cyclic_subgroups()
-    for order, generators in zip(table.orders, table.generators):
-        g = generators[0]
-        k = bundle.graph.degree(g)
-        if k != order - 1:
+    for order, generators, closed in zip(table.orders, table.generators, bundle.graph.closed):
+        if closed.bit_count() != order:
             continue
         count += 1
-        phi, divisor = _element_degree_divisor(n, k, order)
+        if order in tested:
+            continue
+        phi, divisor = _element_degree_divisor(n, order - 1, order)
         if det % divisor != 0:
-            return [verify_element_degree_divisor(bundle, g)]
+            return [verify_element_degree_divisor(bundle, generators[0])]
+        tested.add(order)
         if best is None or divisor > best[0]:
-            best = (divisor, k, phi)
-    divisor, k, phi = best
+            best = (divisor, order, phi)
+    divisor, order, phi = best
     plural = "s" if count != 1 else ""
     return [_det_divisor_row(
         bundle, "element-degree-det-divisor",
-        f"{n}*{k + 1}^{phi} = {decimal_short(divisor)}", divisor,
+        f"{n}*{order}^{phi} = {decimal_short(divisor)}", divisor,
         f" (largest divisor over {count} maximal cyclic subgroup{plural})")]
 
 
@@ -427,7 +441,9 @@ def _product_bound_rows(bundle: GroupBundle) -> list[VerificationResult]:
             "trivial-intersection-product-bound", bundle.label, True,
             f"not applicable: {reason}", applicable=False,
         )]
-    return [verify_product_bound(bundle, chosen)]
+    # the table's subgroups of distinct prime orders, or of one prime order
+    # and distinct, are subgroups meeting only in the identity
+    return [_product_bound_row(bundle, chosen)]
 
 
 # claim id -> the rows it adds for one group, in the runner's order

@@ -288,16 +288,21 @@ class FiniteGroup:
         (Isaacs, Character Theory of Finite Groups, Thm 3.10) a group whose
         order has at most two prime divisors is solvable, so not nonabelian
         simple; n = 1, with no prime divisor, fails the same test. Then the
-        abelian test. Then the class equation: a normal subgroup is {1} and
-        a union of nontrivial classes, and its order divides n. If no such
-        sum 1 + s is a divisor d of n with 1 < d < n, there is no proper
-        nontrivial normal subgroup (Dummit & Foote, Abstract Algebra, §4.6,
-        for A5). Only when the sieve leaves a candidate are the classes'
-        normal closures computed.
+        spectrum: with p the smallest prime dividing n, a subgroup of index p
+        is normal (Dummit & Foote, Abstract Algebra, §4.2, Cor. 5), so an
+        element of order n/p generates a proper nontrivial normal subgroup.
+        Then the abelian test. Then the class equation: a normal subgroup is
+        {1} and a union of nontrivial classes, and its order divides n. If
+        no such sum 1 + s is a divisor d of n with 1 < d < n, there is no
+        proper nontrivial normal subgroup (Dummit & Foote, §4.6, for A5).
+        Only when the sieve leaves a candidate are the classes' normal
+        closures computed.
         """
         if self._simple is None:
             self._simple = False
-            if len(prime_factors(self.n)) >= 3 and not self.is_abelian():
+            primes = prime_factors(self.n)
+            if (len(primes) >= 3 and self.n // min(primes) not in self.spectrum().orders
+                    and not self.is_abelian()):
                 classes = [cls for cls in self.conjugacy_classes() if cls[0] != self.identity]
                 sums = 1  # bit s: some union of the classes seen has s elements
                 for cls in classes:

@@ -1,22 +1,24 @@
 """Claim verifiers and the corpus runner."""
 import hashlib
+import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertree import (CLAIM_IDS, DEFAULT_ORDER_CAP, GroupBundle, GroupSpecError,
-                       OrderCapError, build_group, build_power_graph,
+                       OrderCapError, VerificationResult, build_group, build_power_graph,
                        det_bareiss, load_manifest, ones_plus_laplacian,
-                       run_verifications, verify_clique_components,
+                       run_verifications, spec_order, verify_clique_components,
                        verify_component_count, verify_element_degree_divisor,
                        verify_factorial_cap, verify_full_degree_divisor,
                        verify_maximal_order_divisor,
                        verify_maximal_prime_divisor, verify_product_bound,
                        verify_simple_order_count)
-from powertree.arith import decimal_short
-from powertree.checks import _subgroup_kappa
+from powertree.arith import decimal_short, euler_phi
+from powertree.checks import _product_bound_instance, _subgroup_kappa
 from powertree.treecount import kappa_decomposed
 
 
@@ -160,6 +162,41 @@ def test_element_degree_summary_row_names_the_largest_divisor(monkeypatch):
     assert row.holds
     assert row.witness == ("8*4^2 = 128 divides det(J+Q) = 384 "
                            "(largest divisor over 5 maximal cyclic subgroups)")
+
+
+def _maximal_cyclic_generators(group) -> list[int]:
+    """The smallest generator of each maximal cyclic subgroup, in table order:
+    one that no cyclic subgroup of larger order contains. The identity is left out."""
+    table = group.cyclic_subgroups()
+    member_sets = [frozenset(members) for members in table.members]
+    return [generators[0] for order, generators in zip(table.orders, table.generators)
+            if generators[0] != group.identity
+            and not any(other > order and generators[0] in members
+                        for other, members in zip(table.orders, member_sets))]
+
+
+@pytest.mark.parametrize("spec", load_manifest() + ["dihedral:1980", "elemabelian:2:10"])
+def test_element_degree_row_is_the_brute_force_row(spec):
+    # every maximal cyclic subgroup's own verifier holds, and the runner's one
+    # row names their number and the first of the largest divisors
+    rows = run_verifications([spec], ["element-degree-det-divisor"])
+    bundle = GroupBundle(spec)
+    group = bundle.group
+    maximal = _maximal_cyclic_generators(group)
+    if not maximal:
+        assert group.n == 1 and rows == []
+        return
+    assert all(verify_element_degree_divisor(bundle, g).holds for g in maximal)
+    n = group.n
+    divisor, g = max(((n * group.order_of(g) ** euler_phi(group.order_of(g)), g)
+                      for g in maximal), key=lambda pair: pair[0])
+    m = group.order_of(g)
+    plural = "s" if len(maximal) != 1 else ""
+    assert rows == [VerificationResult(
+        "element-degree-det-divisor", bundle.label, True,
+        f"{n}*{m}^{euler_phi(m)} = {decimal_short(divisor)} divides det(J+Q) = "
+        f"{decimal_short(bundle.det_jq)} (largest divisor over {len(maximal)} "
+        f"maximal cyclic subgroup{plural})")]
 
 
 def test_clique_components_claim():
@@ -348,6 +385,19 @@ def test_run_verifications_product_bound_instances():
         assert row.holds and row.applicable
 
 
+@pytest.mark.parametrize("spec", load_manifest())
+def test_product_bound_row_is_the_validated_row(spec):
+    # the runner skips the input checks on the subgroups it chose itself;
+    # the public verifier, which makes them, gives the same row
+    (row,) = run_verifications([spec], ["trivial-intersection-product-bound"])
+    bundle = GroupBundle(spec)
+    chosen, _ = _product_bound_instance(bundle)
+    if chosen is None:
+        assert not row.applicable
+        return
+    assert row == verify_product_bound(bundle, chosen)
+
+
 def test_load_manifest(tmp_path):
     specs = load_manifest()
     assert len(specs) > 100
@@ -433,6 +483,70 @@ def test_every_accepted_spec_finishes_with_its_claims_holding(atoms):
     rows = run_verifications([spec])
     assert rows
     assert [r for r in rows if not r.holds] == []
+
+
+def _atoms_up_to(cap: int) -> list[tuple[str, int]]:
+    """Every one-atom spec the grammar accepts at order <= cap, with its order."""
+    candidates = [f"{family}:{n}"
+                  for family in ("cyclic", "dihedral", "quaternion", "sym", "alt", "psl2")
+                  for n in range(1, cap + 1)]
+    candidates += [f"elemabelian:{p}:{k}" for p in range(2, cap + 1)
+                   for k in range(1, cap.bit_length())]
+    atoms = []
+    for spec in candidates:
+        try:
+            order = spec_order(spec, cap)
+        except GroupSpecError:
+            continue
+        if order <= cap:
+            atoms.append((spec, order))
+    return atoms
+
+
+# claim id -> its applicable rows over every atom of order <= 256 and every
+# unordered pair of nontrivial atoms with product <= 256 (3933 specs)
+SWEEP_APPLICABLE_ROWS = {
+    "pgroup-component-count": 411,
+    "maximal-prime-kappa-divisor": 3933,
+    "full-degree-det-divisor": 3933,
+    "maximal-order-det-divisor": 4520,
+    "element-degree-det-divisor": 3929,
+    "clique-components-single-prime": 234,
+    "trivial-intersection-product-bound": 3757,
+    "smallest-prime-factorial-cap": 3933,
+    "simple-order-p-count": 12,
+}
+
+
+def test_claims_hold_on_every_atom_and_pair_up_to_order_256(monkeypatch):
+    atoms = _atoms_up_to(256)
+    nontrivial = [(spec, order) for spec, order in atoms if order > 1]
+    specs = [spec for spec, _ in atoms] + [
+        f"{a} x {b}" for (a, m), (b, n) in itertools.combinations_with_replacement(nontrivial, 2)
+        if m * n <= 256]
+    assert len(specs) == 3933
+    # each spec's claims compute both det(J+Q) and kappa; the bundle compares
+    # them once both exist and raises unless det(J+Q) = n^2 * kappa
+    compared = []
+    compare = GroupBundle._compare
+
+    def counted(bundle, det_jq, kappa):
+        compare(bundle, det_jq, kappa)
+        if det_jq is not None and kappa is not None:
+            compared.append(bundle.label)
+
+    monkeypatch.setattr(GroupBundle, "_compare", counted)
+    rows = run_verifications(specs)
+    assert len(compared) == len(specs)
+    assert [r for r in rows if not r.holds] == []
+    assert len(rows) == 28537
+    assert Counter(r.claim_id for r in rows if r.applicable) == SWEEP_APPLICABLE_ROWS
+    digest = hashlib.sha256()
+    for r in rows:
+        digest.update(repr((r.claim_id, r.group_label, r.holds, r.witness,
+                            r.applicable)).encode())
+    assert digest.hexdigest() == (
+        "ba472806fe7a6f73864b253f9cff0340fccd2cd03d847fc76512c5e00c331457")
 
 
 def test_fmt_abbreviates_without_str():

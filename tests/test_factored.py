@@ -62,6 +62,29 @@ def test_iter_primes_across_many_sieve_doublings():
     assert list(below) == list(sympy.primerange(0, 10 ** 5))
 
 
+@pytest.mark.parametrize("trial_table_first", [True, False])
+def test_one_kept_prime_list_serves_every_reader(monkeypatch, trial_table_first):
+    # from an empty list: the trial table, iter_primes and the scan read one
+    # list, before and after the scan grows it past the trial table's 10^4
+    monkeypatch.setattr(arith, "_kept", [])
+    monkeypatch.setattr(arith, "_kept_limit", 0)
+    arith._trial_primes.cache_clear()
+    try:
+        if trial_table_first:
+            assert arith._trial_primes() == primes_below(10 ** 4)
+        assert list(itertools.takewhile(lambda p: p < 10 ** 4, iter_primes())) == primes_below(10 ** 4)
+        assert arith._trial_primes() == primes_below(10 ** 4)
+        assert arith._kept_limit <= 2 * 10 ** 4
+        assert smallest_prime_power_above(3 * 10 ** 4, lambda p: 1) == 30011
+        assert arith._kept_limit > 3 * 10 ** 4
+        assert list(itertools.takewhile(lambda p: p < 10 ** 5, iter_primes())) == primes_below(10 ** 5)
+        assert arith._trial_primes() == primes_below(10 ** 4)
+        arith._trial_primes.cache_clear()
+        assert arith._trial_primes() == primes_below(10 ** 4)
+    finally:
+        arith._trial_primes.cache_clear()
+
+
 @pytest.mark.parametrize("exponent", [lambda p: p - 2, lambda p: (p - 2) * (p + 1)])
 def test_smallest_prime_power_above_at_the_boundaries(exponent):
     def first_above(value):  # every power multiplied out

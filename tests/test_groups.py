@@ -374,10 +374,11 @@ def _brute_closure(group, gens) -> set[int]:
     return members
 
 
-# three-prime orders, not simple: the abelian test stops cyclic:30, and the class
-# sizes of the others leave the sieve a candidate divisor, so closures decide
+# three-prime orders, not simple: an element of order n/p, for p the smallest
+# prime dividing n, stops dihedral:30, quaternion:60 and cyclic:30, and the
+# class sizes of the others leave the sieve a candidate divisor, so closures decide
 SIEVE_CANDIDATES = ["sym:5", "alt:5 x cyclic:2", "sym:5 x cyclic:3", "psl2:7 x cyclic:2",
-                    "dihedral:30", "cyclic:30"]
+                    "dihedral:30", "quaternion:60", "cyclic:30"]
 
 
 @pytest.mark.parametrize("spec", load_manifest() + SIEVE_CANDIDATES)
@@ -421,6 +422,20 @@ def test_two_prime_orders_are_not_simple_without_generators(monkeypatch):
     calls = _count_calls(monkeypatch, "generating_set")
     assert not any(group.is_nonabelian_simple() for group in solvable)
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["dihedral:30", "dihedral:60", "dihedral:360",
+                                  "quaternion:60", "quaternion:1980", "cyclic:210"])
+def test_a_subgroup_of_smallest_prime_index_is_normal(monkeypatch, spec):
+    # an element of order n/p, with p the smallest prime dividing n, generates
+    # a normal subgroup of index p: the spectrum decides, with no products
+    group = build_group(spec)
+    p = min(group.spectrum().primes)
+    assert group.n // p in group.spectrum().orders
+    calls = [_count_calls(monkeypatch, name)
+             for name in ("generating_set", "conjugacy_classes", "normal_closure")]
+    assert not group.is_nonabelian_simple()
+    assert calls == [[], [], []]
 
 
 def _sole_identity(group) -> int:
