@@ -5,6 +5,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, compress, count, islice, takewhile
+from math import gcd, prod
 
 DEFAULT_FACTOR_BOUND = 10_000
 # Python refuses str() and int() on decimals longer than its int-to-str limit
@@ -89,22 +90,28 @@ def smallest_prime_power_above(value: int, exponent) -> int:
     With L the bit length of value, 2^(L-1) <= value < 2^L, and with b the
     bit length of p^64, 2^(b-1) <= p^64 < 2^b. So f(b-1) >= 64L proves
     p^f > value, and fb <= 64(L-1) proves p^f <= value; the power is
-    multiplied out only between the two.
+    multiplied out only between the two. Each b is read from the kept
+    list beside the prime list.
     """
     bits = value.bit_length()
-    for p in iter_primes():
+    power_bits = _kept_power_bits
+    for k, p in enumerate(iter_primes()):
+        if k == len(power_bits):
+            power_bits = _power_bits(k + 1)
         f = exponent(p)
-        b = (p ** 64).bit_length()
+        b = power_bits[k]
         if f * (b - 1) >= 64 * bits:
             return p
         if f * b > 64 * (bits - 1) and p ** f > value:
             return p
 
 
-# Every prime below _kept_limit, ascending. The list is replaced, never
+# Every prime below _kept_limit, ascending, and (p ** 64).bit_length() for
+# the first len(_kept_power_bits) of them. Each list is replaced, never
 # changed in place, so a reader may keep iterating the one it was handed.
 _kept_limit = 0
 _kept: list[int] = []
+_kept_power_bits: list[int] = []
 
 
 def _kept_primes(limit: int) -> list[int]:
@@ -117,8 +124,22 @@ def _kept_primes(limit: int) -> list[int]:
     return _kept
 
 
+def _power_bits(needed: int) -> list[int]:
+    """The kept bit lengths of p^64, first extended over at least the first
+    `needed` kept primes, and over twice as many as before where the kept
+    list holds them."""
+    global _kept_power_bits
+    have = len(_kept_power_bits)
+    if have < needed:
+        _kept_power_bits = _kept_power_bits + [
+            (p ** 64).bit_length() for p in _kept[have:max(needed, 2 * have)]]
+    return _kept_power_bits
+
+
 # trial division walks the primes below this, then odd numbers
 _TRIAL_TABLE_LIMIT = 10_000
+# the trial table is tested in runs of this many primes, one gcd per run
+_TRIAL_RUN = 32
 
 
 @cache
@@ -126,6 +147,15 @@ def _trial_primes() -> list[int]:
     """The 1229 primes below _TRIAL_TABLE_LIMIT, read from the kept list on first use."""
     primes = _kept_primes(_TRIAL_TABLE_LIMIT)
     return primes[:bisect_left(primes, _TRIAL_TABLE_LIMIT)]
+
+
+@cache
+def _trial_runs() -> list[tuple[int, int]]:
+    """The trial table cut into runs of _TRIAL_RUN primes, each given as the
+    table index just past it and the product of its primes."""
+    primes = _trial_primes()
+    return [(min(start + _TRIAL_RUN, len(primes)), prod(primes[start:start + _TRIAL_RUN]))
+            for start in range(0, len(primes), _TRIAL_RUN)]
 
 
 def _trial_divisors():
@@ -136,12 +166,19 @@ def _trial_divisors():
 
 def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
     """Split off every prime <= bound from n >= 1 by trial division over
-    ``_trial_divisors``. Returns the exponents found and the cofactor, which
-    no prime <= bound divides.
+    ``_trial_divisors``. Returns the exponents found, in ascending order of
+    the primes, and the cofactor, which no prime <= bound divides.
+
+    Small numbers end within the table's first run. A walk that gets past
+    it goes on by whole runs (``_divide_by_runs``) for as long as they are
+    within the bound and below the square root of the remainder, then one
+    divisor at a time again.
     """
     factors: dict[int, int] = {}
     rem = n
-    for p in _trial_divisors():
+    first_run_end = _trial_primes()[_TRIAL_RUN - 1]
+    divisors = _trial_divisors()
+    for p in divisors:
         if rem <= 1 or p > bound:
             break
         if p * p > rem:
@@ -153,7 +190,39 @@ def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
         while rem % p == 0:
             factors[p] = factors.get(p, 0) + 1
             rem //= p
+        if p == first_run_end:
+            rem = _divide_by_runs(factors, rem, bound, divisors)
     return factors, rem
+
+
+def _divide_by_runs(factors: dict[int, int], rem: int, bound: int, divisors) -> int:
+    """Divide out of rem the table runs after the first, while a whole run
+    is within the bound and its first prime's square is at most rem, and
+    take each run so tried out of `divisors`; return what is left of rem.
+
+    A run takes one gcd with its primes' product, and only the primes that
+    divide the gcd are divided out, into `factors`.
+    """
+    primes = _trial_primes()
+    start = _TRIAL_RUN
+    for end, product in islice(_trial_runs(), 1, None):
+        if primes[end - 1] > bound or primes[start] * primes[start] > rem:
+            break
+        common = gcd(rem, product)  # the product of the run's primes that divide rem
+        if common != 1:
+            for p in islice(primes, start, end):
+                if common % p == 0:
+                    e = 0
+                    while rem % p == 0:
+                        e += 1
+                        rem //= p
+                    factors[p] = e
+                    common //= p
+                    if common == 1:
+                        break
+        next(islice(divisors, end - start - 1, None))  # the walk goes on past the run
+        start = end
+    return rem
 
 
 def prime_factors(n: int) -> dict[int, int]:

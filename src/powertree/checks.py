@@ -86,6 +86,12 @@ class GroupBundle:
             self._det_jq = det_jq
         return self._det_jq
 
+    @cached_property
+    def det_jq_short(self) -> str:
+        """det(J + Q) as ``decimal_short`` writes it, formatted once for every
+        row whose witness quotes it."""
+        return decimal_short(self.det_jq)
+
     @property
     def kappa(self) -> FactoredInt:
         if self._kappa is None:
@@ -161,7 +167,7 @@ def _det_divisor_row(bundle: GroupBundle, claim_id: str, lead: str, divisor: int
     return VerificationResult(
         claim_id, bundle.label, holds,
         f"{lead} {'divides' if holds else 'does not divide'} det(J+Q) = "
-        f"{decimal_short(det)}{note}",
+        f"{bundle.det_jq_short}{note}",
     )
 
 
@@ -267,33 +273,42 @@ def verify_product_bound(source, subgroups) -> VerificationResult:
         for j in range(i + 1, len(member_sets)):
             if member_sets[i] & member_sets[j] != {group.identity}:
                 raise ValueError("subgroup intersections must be trivial")
-    return _product_bound_row(bundle, member_sets)
+    graph = bundle.graph
+    return _product_bound_row(bundle, [len(members) for members in member_sets],
+                              [_subgroup_kappa(graph, members) for members in member_sets])
 
 
-def _product_bound_row(bundle: GroupBundle, subgroups) -> VerificationResult:
+def _product_bound_row(bundle: GroupBundle, orders, kappas) -> VerificationResult:
     """The product bound's row for subgroups already known to be nontrivial,
-    proper and pairwise trivially intersecting, each given as its distinct
-    elements. P(H) is P(G) induced on H, so each kappa(H_i) is counted on the
-    group's own power graph, by ``_subgroup_kappa``."""
+    proper and pairwise trivially intersecting, given by their orders and
+    their counts kappa(H_i)."""
     product = 1
-    for members in subgroups:
-        product *= _subgroup_kappa(bundle.graph, members)
+    for count in kappas:
+        product *= count
     kappa = bundle.kappa
     holds = kappa.value > product
     return VerificationResult(
         "trivial-intersection-product-bound", bundle.label, holds,
         f"kappa = {kappa} {'>' if holds else '<='} {decimal_short(product)} "
-        f"(product over subgroups of orders {[len(members) for members in subgroups]})",
+        f"(product over subgroups of orders {orders})",
     )
 
 
 def _subgroup_kappa(graph: PowerGraph, members) -> int:
     """kappa(H), as an integer, of a subgroup H given as its elements: g in H
-    puts <g> in H, so H is a union of the graph's twin sets. They are counted
-    with their closed neighbourhoods cut down to H, rooted at the identity,
-    and the kernel merges those that become closed twins in P(H)."""
-    mask = sum(1 << g for g in members)
-    inside = sorted({graph.which[g] for g in members})
+    puts <g> in H, so H is a union of the graph's twin sets."""
+    return _twin_sets_kappa(graph, members, sorted({graph.which[g] for g in members}))
+
+
+def _twin_sets_kappa(graph: PowerGraph, members, inside) -> int:
+    """kappa(H) of a subgroup H given as its elements and as the indices of the
+    twin sets it is the union of. P(H) is P(G) induced on H, so the sets are
+    counted on the group's own power graph with their closed neighbourhoods
+    cut down to H, rooted at the identity, and the kernel merges those that
+    become closed twins in P(H)."""
+    mask = 0
+    for g in members:
+        mask |= 1 << g
     return closed_twin_kappa([graph.closed[i] & mask for i in inside],
                              [graph.twin_sets[i] for i in inside],
                              graph.identity_vertex, factor_bound=1).value
@@ -411,27 +426,30 @@ def _product_bound_instance(bundle: GroupBundle):
         return None, ("kappa = 1 equals every admissible product bound "
                       "(star-shaped power graph)")
     primes = sorted(spectrum.primes)
-    # members of the cyclic subgroups of prime order, in order of their smallest generator
+    # table indices of the cyclic subgroups of prime order, in order of their smallest generator
     table = group.cyclic_subgroups()
-    prime_subgroups = [members for order, members in zip(table.orders, table.members)
-                       if order in spectrum.primes]
+    prime_subgroups = [i for i, order in enumerate(table.orders) if order in spectrum.primes]
     if len(primes) == 1:
         chosen = prime_subgroups[:2]
     else:
-        chosen = [next(s for s in prime_subgroups if len(s) == p) for p in primes]
+        chosen = [next(i for i in prime_subgroups if table.orders[i] == p) for p in primes]
     if not _has_outside_witness(bundle, chosen):
         # drop the largest odd-prime subgroup: its generator becomes an
         # outside vertex adjacent to at least two others
         chosen = chosen[:-1]
-    return chosen, None
+    return [table.members[i] for i in chosen], None
 
 
 def _has_outside_witness(bundle: GroupBundle, chosen) -> bool:
-    union = set()
-    for sub in chosen:
-        union.update(sub)
-    return any(bundle.graph.degree(v) >= 2
-               for v in range(bundle.group.n) if v not in union)
+    """Whether a vertex outside the chosen subgroups, given as table indices,
+    has degree at least 2. Each is of prime order, so it is the identity's
+    twin set and its own generators' set, and every other set lies outside
+    them all; a set's members share one closed neighbourhood, so one test
+    per set decides."""
+    graph = bundle.graph
+    inside = {graph.which[graph.identity_vertex], *chosen}
+    return any(closed.bit_count() >= 3
+               for i, closed in enumerate(graph.closed) if i not in inside)
 
 
 def _product_bound_rows(bundle: GroupBundle) -> list[VerificationResult]:
@@ -442,8 +460,13 @@ def _product_bound_rows(bundle: GroupBundle) -> list[VerificationResult]:
             f"not applicable: {reason}", applicable=False,
         )]
     # the table's subgroups of distinct prime orders, or of one prime order
-    # and distinct, are subgroups meeting only in the identity
-    return [_product_bound_row(bundle, chosen)]
+    # and distinct, are subgroups meeting only in the identity. Each of
+    # prime order p is two twin sets: the identity's (members[0]) and
+    # that of its generators, of which members[1] is one
+    which = bundle.graph.which
+    kappas = [_twin_sets_kappa(bundle.graph, members, [which[members[0]], which[members[1]]])
+              for members in chosen]
+    return [_product_bound_row(bundle, [len(members) for members in chosen], kappas)]
 
 
 # claim id -> the rows it adds for one group, in the runner's order

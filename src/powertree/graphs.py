@@ -190,27 +190,50 @@ def component_decomposition(graph: PowerGraph) -> tuple[Component, ...]:
     """Components of the power graph minus the identity, flagged as cliques with witnesses.
 
     The components come largest first, ties in order of their elements.
-    The cyclic subgroups come from the graph's own group. For a clique
-    component the witness is an element of maximal order (ties broken by
-    smallest index) whose cyclic subgroup, minus the identity, is exactly the
-    component.
+    The search runs over twin sets, one bit per set (its first member's),
+    since a set's members share their neighbours. A component's vertices
+    are the OR of its sets' closed neighbourhoods minus the identity, which
+    every vertex neighbours. It is a clique when each of its sets' closed
+    neighbourhoods holds it all. For a clique component the witness is an
+    element of maximal order (ties broken by smallest index) whose cyclic
+    subgroup, minus the identity, is exactly the component: the first
+    member of the set of largest order, the sets' orders read from the
+    graph's own group.
     """
-    table = graph.group.cyclic_subgroups()
-    closed, which = graph.closed, graph.which
+    orders = graph.group.cyclic_subgroups().orders
+    closed, twin_sets, which = graph.closed, graph.twin_sets, graph.which
+    identity = graph.identity_vertex
+    without_identity = ~(1 << identity)
+    unseen = 0  # the first member of each twin set not yet reached
+    for members in twin_sets:
+        unseen |= 1 << members[0]
+    unseen &= without_identity
     out = []
-    for comp in graph.components(without=graph.identity_vertex):
-        mask = 0
-        for v in comp:
-            mask |= 1 << v
-        clique = all(closed[which[v]] & mask == mask for v in comp)
+    while unseen:
+        frontier = unseen & -unseen
+        sets = []
+        reached = 0
+        while frontier:
+            unseen &= ~frontier
+            while frontier:
+                low = frontier & -frontier
+                i = which[low.bit_length() - 1]
+                sets.append(i)
+                reached |= closed[i]
+                frontier ^= low
+            frontier = reached & unseen
+        comp = reached & without_identity
+        clique = all(closed[i] & comp == comp for i in sets)
         witness = None
         if clique:
-            best = max(comp, key=lambda g: (table.orders[which[g]], -g))
+            best = max(sets, key=orders.__getitem__)
             # <best> minus the identity lies in best's component, so it is
-            # the component exactly when the sizes agree
-            if table.orders[which[best]] == len(comp) + 1:
-                witness = best
-        out.append(Component(tuple(comp), clique, witness))
+            # the component exactly when the sizes agree; two sets of the
+            # largest order never fill a component alone
+            if orders[best] == comp.bit_count() + 1:
+                witness = twin_sets[best][0]
+        elements = tuple(sorted(v for i in sets for v in twin_sets[i]))
+        out.append(Component(elements, clique, witness))
     out.sort(key=lambda c: (-c.size, c.elements))
     return tuple(out)
 

@@ -266,6 +266,31 @@ class FiniteGroup:
                 classes.append(sorted(cls))
         return classes
 
+    def conjugate_blocks(self) -> list[list[int]]:
+        """The conjugacy orbits of the nontrivial cyclic subgroups, each as a
+        list of table indices, in order of their first subgroup, ascending.
+
+        A block's elements are the generators of its subgroups: it holds the
+        conjugacy class of each of them, so it is a union of classes, and the
+        blocks partition G minus the identity. A normal subgroup holding h
+        holds every generator of <h> and all their conjugates, so it is {1}
+        and a union of blocks. Each orbit is grown by conjugating one
+        generator of each subgroup by each generator of G: 2*|gens| products
+        per cyclic subgroup.
+        """
+        table = self.cyclic_subgroups()
+        which, members = table.which, table.members
+        conjugators = self._conjugators()
+        maps = [lambda i, f=f: which[f(members[i][1])] for f in conjugators]
+        seen = {which[self.identity]}
+        blocks = []
+        for i in range(len(members)):
+            if i not in seen:
+                block = _grow(set(), [i], maps)
+                seen |= block
+                blocks.append(sorted(block))
+        return blocks
+
     def normal_closure(self, g: int) -> set[int]:
         """The smallest normal subgroup containing g.
 
@@ -291,25 +316,29 @@ class FiniteGroup:
         spectrum: with p the smallest prime dividing n, a subgroup of index p
         is normal (Dummit & Foote, Abstract Algebra, §4.2, Cor. 5), so an
         element of order n/p generates a proper nontrivial normal subgroup.
-        Then the abelian test. Then the class equation: a normal subgroup is
-        {1} and a union of nontrivial classes, and its order divides n. If
-        no such sum 1 + s is a divisor d of n with 1 < d < n, there is no
-        proper nontrivial normal subgroup (Dummit & Foote, §4.6, for A5).
-        Only when the sieve leaves a candidate are the classes' normal
-        closures computed.
+        Then the abelian test. Then the class equation, over blocks: a normal
+        subgroup is {1} and a union of the conjugate_blocks, and its order
+        divides n. If no such sum 1 + s is a divisor d of n with 1 < d < n,
+        there is no proper nontrivial normal subgroup (Dummit & Foote, §4.6,
+        for A5 with classes). The blocks are unions of classes, so their sums
+        are among the classes' sums. Only when the sieve leaves a candidate
+        are normal closures computed, one per block: g's normal closure
+        holds g's block, so it depends only on the block.
         """
         if self._simple is None:
             self._simple = False
             primes = prime_factors(self.n)
             if (len(primes) >= 3 and self.n // min(primes) not in self.spectrum().orders
                     and not self.is_abelian()):
-                classes = [cls for cls in self.conjugacy_classes() if cls[0] != self.identity]
-                sums = 1  # bit s: some union of the classes seen has s elements
-                for cls in classes:
-                    sums |= sums << len(cls)
+                generators = self.cyclic_subgroups().generators
+                blocks = self.conjugate_blocks()
+                sums = 1  # bit s: some union of the blocks seen has s elements
+                for block in blocks:
+                    sums |= sums << sum(len(generators[i]) for i in block)
                 self._simple = not any(
                     sums >> (d - 1) & 1 for d in range(2, self.n) if self.n % d == 0
-                ) or all(len(self.normal_closure(cls[0])) == self.n for cls in classes)
+                ) or all(len(self.normal_closure(generators[block[0]][0])) == self.n
+                         for block in blocks)
         return self._simple
 
     def __repr__(self) -> str:

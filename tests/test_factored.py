@@ -373,3 +373,52 @@ def test_trial_division_over_the_prime_table_matches_every_odd_number():
     for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001, 10007, 10008, 10 ** 5):
         for n in numbers:
             assert arith.trial_divide(n, bound) == _odd_trial_divide(n, bound), (n, bound)
+
+
+def _prime_by_prime_trial_divide(n, bound):
+    """trial_divide one table prime at a time, with no runs: the reference
+    for the runs. Returns the factors as (prime, exponent) pairs in the
+    order found, and the cofactor."""
+    factors = {}
+    rem = n
+    for p in itertools.chain(arith._trial_primes(), itertools.count(10_001, 2)):
+        if rem <= 1 or p > bound:
+            break
+        if p * p > rem:
+            if rem <= bound:
+                factors[rem] = factors.get(rem, 0) + 1
+                rem = 1
+            break
+        while rem % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            rem //= p
+    return list(factors.items()), rem
+
+
+def test_trial_division_by_runs_matches_one_prime_at_a_time():
+    # a smooth part over the table (and just past it) times a cofactor of
+    # each kind: none, below the table's end, a product of two primes near
+    # it, up to 10^8 and up to 10^40; each value at one of the bounds in
+    # turn, 1000 and 5000 inside runs past the first
+    primes = arith._trial_primes()
+    near_the_end = [9949, 9967, 9973, 10007, 10009, 10037]
+    rng = random.Random(33)
+    bounds = (1, 2, 100, 1000, 5000, 9973, 10 ** 4, 10007, 10 ** 5)
+    for k in range(36_000):
+        smooth = 1
+        for _ in range(rng.randrange(7)):
+            smooth *= rng.choice(primes if rng.random() < 0.9 else near_the_end) ** rng.randint(1, 3)
+        kind = rng.random()
+        if kind < 0.35:
+            cofactor = 1
+        elif kind < 0.7:
+            cofactor = rng.randrange(1, 10 ** 4)
+        elif kind < 0.8:
+            cofactor = rng.choice(near_the_end) * rng.choice(near_the_end)
+        elif kind < 0.99:
+            cofactor = rng.randrange(1, 10 ** 8)
+        else:
+            cofactor = rng.randrange(1, 10 ** 40)
+        n, bound = smooth * cofactor, bounds[k % len(bounds)]
+        factors, rem = arith.trial_divide(n, bound)
+        assert (list(factors.items()), rem) == _prime_by_prime_trial_divide(n, bound), (n, bound)

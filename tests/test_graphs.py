@@ -10,12 +10,15 @@ from math import gcd
 import networkx as nx
 import pytest
 
-from powertree import (Graph, build_group, build_power_graph,
+from powertree import (Component, Graph, build_group, build_power_graph,
                        component_decomposition, full_degree_vertices,
-                       kappa_decomposed, load_manifest, to_dot, to_json, to_json_dict)
+                       kappa_decomposed, load_manifest, spec_order, to_dot, to_json,
+                       to_json_dict)
+from powertree.arith import prime_power
 from powertree.determinant import ones_plus_laplacian
 from powertree.treecount import MATRIX_TREE_VERTEX_LIMIT
 
+from test_checks import _atoms_up_to
 from test_treecount import GRAPH_BOUND_SPECS, KAPPA_BLOCKS_SPECS
 
 
@@ -332,6 +335,52 @@ def test_klein_style_product_component_sizes():
         assert single.is_clique
         assert single.witness is not None
         assert group.order_of(single.witness) == 2
+
+
+def _per_vertex_decomposition(graph):
+    """component_decomposition one vertex at a time: the reference for the
+    search over twin sets."""
+    table = graph.group.cyclic_subgroups()
+    closed, which = graph.closed, graph.which
+    out = []
+    for comp in graph.components(without=graph.identity_vertex):
+        mask = 0
+        for v in comp:
+            mask |= 1 << v
+        clique = all(closed[which[v]] & mask == mask for v in comp)
+        witness = None
+        if clique:
+            best = max(comp, key=lambda g: (table.orders[which[g]], -g))
+            if table.orders[which[best]] == len(comp) + 1:
+                witness = best
+        out.append(Component(tuple(comp), clique, witness))
+    out.sort(key=lambda c: (-c.size, c.elements))
+    return tuple(out)
+
+
+def _p_group_specs() -> list[str]:
+    """The corpus p-groups and the p-groups among the claims sweep's atoms and pairs."""
+    atoms = _atoms_up_to(256)
+    nontrivial = [(spec, order) for spec, order in atoms if order > 1]
+    specs = load_manifest() + [spec for spec, _ in atoms] + [
+        f"{a} x {b}" for (a, m), (b, n) in itertools.combinations_with_replacement(nontrivial, 2)
+        if m * n <= 256 and prime_power(m * n) is not None]
+    return [spec for spec in dict.fromkeys(specs) if prime_power(spec_order(spec)) is not None]
+
+
+def test_twin_set_components_match_the_per_vertex_search():
+    specs = _p_group_specs()
+    assert len(specs) == 436
+    for spec in specs:
+        graph = build_power_graph(build_group(spec))
+        assert component_decomposition(graph) == _per_vertex_decomposition(graph), spec
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1", "cyclic:6", "sym:4", "alt:5", "dihedral:30",
+                                  "cyclic:2 x cyclic:4", "quaternion:12 x cyclic:5"])
+def test_twin_set_components_match_the_per_vertex_search_off_p_groups(spec):
+    graph = build_power_graph(build_group(spec))
+    assert component_decomposition(graph) == _per_vertex_decomposition(graph)
 
 
 def test_dihedral_eight_components():

@@ -415,6 +415,53 @@ def test_class_equation_proves_the_corpus_simple_groups_without_closures(monkeyp
     assert calls == []
 
 
+BLOCK_SPECS = list(dict.fromkeys(load_manifest() + SIEVE_CANDIDATES + [
+    "alt:6", "psl2:8", "psl2:9", "psl2:11", "psl2:13", "sym:6"]))
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS)
+def test_conjugate_blocks_partition_the_group_into_unions_of_classes(spec):
+    group = build_group(spec)
+    table = group.cyclic_subgroups()
+    blocks = group.conjugate_blocks()
+    elements = [sorted(g for i in block for g in table.generators[i]) for block in blocks]
+    assert sorted(g for block in elements for g in block) == [
+        g for g in range(group.n) if g != group.identity]
+    block_of = {g: k for k, block in enumerate(elements) for g in block}
+    covered = [[] for _ in blocks]
+    for cls in group.conjugacy_classes():
+        if cls[0] != group.identity:
+            (k,) = {block_of[g] for g in cls}
+            covered[k] += cls
+    assert [sorted(c) for c in covered] == elements
+    # each block is one orbit: the conjugates of its first subgroup by all of G
+    for block in blocks:
+        h = table.generators[block[0]][0]
+        conjugates = {table.which[group.mul(group.mul(x, h), group.inverse(x))]
+                      for x in range(group.n)}
+        assert sorted(conjugates) == block
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS)
+def test_simplicity_takes_no_conjugacy_classes(monkeypatch, spec):
+    group = build_group(spec)
+    calls = _count_calls(monkeypatch, "conjugacy_classes")
+    group.is_nonabelian_simple()
+    assert calls == []
+
+
+def test_sym5_takes_at_most_one_normal_closure_per_block(monkeypatch):
+    group = build_group("sym:5")
+    blocks = group.conjugate_blocks()
+    generators = group.cyclic_subgroups().generators
+    block_of = {g: k for k, block in enumerate(blocks) for i in block for g in generators[i]}
+    calls = _count_calls(monkeypatch, "normal_closure")
+    assert not group.is_nonabelian_simple()
+    assert 0 < len(calls) <= len(blocks)
+    closed = [block_of[g] for _, g in calls]
+    assert len(set(closed)) == len(closed)
+
+
 def test_two_prime_orders_are_not_simple_without_generators(monkeypatch):
     # Burnside's p^a q^b theorem: the order alone decides
     solvable = [build_group(spec) for spec in [
