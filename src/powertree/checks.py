@@ -13,11 +13,11 @@ from pathlib import Path
 
 from .arith import (DEFAULT_FACTOR_BOUND, ExactnessError, FactoredInt, decimal_short,
                     euler_phi, is_prime, smallest_prime_power_above)
-from .determinant import closed_twin_kappa
+from .determinant import (ClassLaplacian, class_det_jq, class_kappa, class_laplacian,
+                          closed_twin_kappa)
 from .graphs import (Component, PowerGraph, build_power_graph, component_decomposition,
                      full_degree_vertices)
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup, build_group
-from .treecount import kappa_decomposed
 
 @dataclass(frozen=True)
 class VerificationResult:
@@ -69,19 +69,22 @@ class GroupBundle:
     def decomposition(self) -> tuple[Component, ...]:
         return component_decomposition(self.graph)
 
+    @cached_property
+    def laplacian(self) -> ClassLaplacian:
+        """The power graph's class Laplacian rooted at the identity's class, built
+        once, keyed by the graph's twin sets and their closed neighbourhoods;
+        ``kappa`` and ``det_jq`` are two different eliminations of it."""
+        graph = self.graph
+        return class_laplacian(graph.closed, graph.twin_sets, graph.identity_vertex)
+
     @property
     def det_jq(self) -> int:
-        """det(J + Q) = n^2 * kappa of the full power graph, from its class Laplacian
-        rooted at a class of smallest closed degree: a different elimination
-        from the one ``kappa`` runs rooted at the identity's class, keyed, as
-        that one is, by the graph's twin sets and their closed neighbourhoods.
-        The count is read as an integer, at a factor bound of 1: nothing is
-        trial-divided."""
+        """det(J + Q) = n^2 * kappa of the full power graph, eliminated rooted at
+        the first class by closed degree, with the identity's class as a row:
+        a different elimination from the one ``kappa`` runs, rooted at the
+        identity's class. It is multiplied out as an integer."""
         if self._det_jq is None:
-            graph = self.graph
-            n = graph.n
-            det_jq = n * n * closed_twin_kappa(graph.closed, graph.twin_sets,
-                                               factor_bound=1).value
+            det_jq = class_det_jq(self.laplacian)
             self._compare(det_jq, self._kappa)
             self._det_jq = det_jq
         return self._det_jq
@@ -94,8 +97,13 @@ class GroupBundle:
 
     @property
     def kappa(self) -> FactoredInt:
+        """kappa of the full power graph, eliminated rooted at the identity's class,
+        on a copy of the class Laplacian's rows, which ``det_jq`` reads."""
         if self._kappa is None:
-            kappa = kappa_decomposed(self.graph, self.factor_bound)
+            laplacian = self.laplacian
+            rows = laplacian._replace(diag=list(laplacian.diag),
+                                      off=[row.copy() for row in laplacian.off])
+            kappa = class_kappa(rows, self.factor_bound)
             self._compare(self._det_jq, kappa)
             self._kappa = kappa
         return self._kappa

@@ -1,6 +1,7 @@
 """Exact determinant engines against an independent oracle."""
 import itertools
 import random
+from math import gcd
 
 import pytest
 import sympy
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from powertree import (Graph, build_group, build_power_graph, det_bareiss,
                        ones_plus_laplacian)
-from powertree.determinant import ExactnessError, closed_twin_kappa, det_sparse_symmetric
+from powertree.determinant import (ExactnessError, class_det_jq, class_laplacian,
+                                   closed_twin_kappa, det_sparse_symmetric)
 
 # ones-plus-Laplacian of the order-8 quaternion group, written down by hand:
 # three order-4 pairs, then the identity and the central involution
@@ -138,6 +140,9 @@ def test_class_laplacian_rejects_bad_vertex_lists():
     with pytest.raises(ValueError, match="root 7 is not the first member of a set"):
         closed_twin_kappa(closed, twins, 7)
     assert closed_twin_kappa(closed[::-1], twins[::-1], 0) == 4
+    # det(J + Q)'s route needs a root that sees every vertex
+    with pytest.raises(ValueError, match="rooted at a class that sees every vertex"):
+        class_det_jq(class_laplacian(closed, twins, 0))
 
 
 def test_sparse_elimination_matches_sympy():
@@ -177,6 +182,122 @@ def test_sparse_elimination_matches_bareiss_on_large_entries():
         assert type(result) is int
         assert result == expected
     assert 0 < singular < 40
+
+
+def _det_sparse_symmetric_reference(diag, off) -> int:
+    """``det_sparse_symmetric`` as it was before a column with one entry got a
+    step of its own: that entry, too, goes through the pairwise update."""
+    num = den = 1
+    for k, row_k in enumerate(off):
+        p, q = diag[k]
+        if not p:
+            return 0
+        num *= p
+        den *= q
+        if not row_k:
+            continue
+        column = list(row_k.items())
+        for i, _ in column:
+            del off[i][k]
+        for x, (i, (a, b)) in enumerate(column):
+            fn, fd = a * q, b * p  # the factor a_ik / pivot
+            if fd < 0:
+                fn, fd = -fn, -fd
+            g = gcd(fn, fd)
+            fn //= g
+            fd //= g
+            row_i = off[i]
+            row_i[i] = diag[i]  # so that j == i updates the diagonal entry
+            for j, (y, v) in column[x:]:
+                n, d = row_i.get(j, (0, 1))
+                e = fd * v
+                n = n * e - d * fn * y  # a_ij - factor * a_jk
+                d *= e
+                g = gcd(n, d)
+                row_i[j] = off[j][i] = (n // g, d // g)
+            diag[i] = row_i.pop(i)
+    det, rem = divmod(num, den)
+    if rem:
+        raise ExactnessError("the determinant of an integer matrix is not an integer")
+    return det
+
+
+def _weighted_tree_laplacian(rng, n, edges, singular):
+    """The Laplacian of a tree with weights 1-9 on its edges, plus 0-3 on each
+    diagonal entry unless `singular`: positive semidefinite, and singular
+    exactly when nothing is added, since a tree is connected."""
+    matrix = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        w = rng.randint(1, 9)
+        matrix[a][a] += w
+        matrix[b][b] += w
+        matrix[a][b] -= w
+        matrix[b][a] -= w
+    if not singular:
+        for i in range(n):
+            matrix[i][i] += rng.randint(0, 3)
+    return matrix
+
+
+def _trees(rng):
+    """Stars with the centre last (every leaf a column with one entry) and
+    first, paths in order and reversed, and random trees on shuffled labels,
+    of 1-24 vertices."""
+    for n in range(1, 25):
+        leaves = range(n - 1)
+        yield n, [(leaf, n - 1) for leaf in leaves]
+        yield n, [(0, leaf + 1) for leaf in leaves]
+        yield n, [(v, v + 1) for v in range(n - 1)]
+        yield n, [(n - 1 - v, n - 2 - v) for v in range(n - 1)]
+        for _ in range(3):
+            label = list(range(n))
+            rng.shuffle(label)
+            yield n, [(label[v], label[rng.randrange(v)]) for v in range(1, n)]
+
+
+def test_one_entry_columns_match_the_pairwise_update():
+    # one pass over stars, paths and random trees: the determinant, and every
+    # pivot the elimination leaves on the diagonal, equal the reference's,
+    # sympy's on small matrices and det_bareiss's; the singular Laplacians
+    # reach their zero pivot after one-entry updates (the last one, on a path
+    # or on a star whose centre comes last)
+    rng = random.Random(53)
+    singular = 0
+    for n, edges in _trees(rng):
+        matrix = _weighted_tree_laplacian(rng, n, edges, rng.random() < 0.3)
+        expected = det_bareiss(matrix)
+        if n <= 8:
+            assert expected == int(sympy.Matrix(matrix).det())
+        diag, off = _sparse(matrix)
+        reference_diag, reference_off = _sparse(matrix)
+        assert det_sparse_symmetric(diag, off) == expected
+        assert _det_sparse_symmetric_reference(reference_diag, reference_off) == expected
+        assert diag == reference_diag
+        singular += expected == 0
+    assert singular > 20
+
+
+def test_one_entry_columns_on_random_sparse_matrices():
+    # seeded sparse positive semidefinite matrices, singular ones included,
+    # with integer and with fractional pivots: the step changes no result
+    rng = random.Random(59)
+    singular = 0
+    for trial in range(300):
+        n = rng.randrange(1, 25)
+        if trial % 2:
+            matrix = _weighted_gram(rng, n, rng.randrange(max(n - 1, 1), 2 * n + 1))
+        else:
+            matrix = _gram(rng, n, rng.randrange(n // 2, n + 2))
+        expected = det_bareiss(matrix)
+        if n <= 6:
+            assert expected == int(sympy.Matrix(matrix).det())
+        diag, off = _sparse(matrix)
+        reference_diag, reference_off = _sparse(matrix)
+        assert det_sparse_symmetric(diag, off) == expected
+        assert _det_sparse_symmetric_reference(reference_diag, reference_off) == expected
+        assert diag == reference_diag
+        singular += expected == 0
+    assert 0 < singular < 300
 
 
 def test_ones_plus_laplacian_entries():
@@ -276,6 +397,8 @@ def test_twin_quotient_of_power_graphs():
             assert n2 * closed_twin_kappa(view.closed, view.twin_sets).value == expected
             assert (n2 * closed_twin_kappa(view.closed, view.twin_sets, graph.identity_vertex).value
                     == expected)
+            assert class_det_jq(class_laplacian(view.closed, view.twin_sets,
+                                                graph.identity_vertex)) == expected
     empty, single = Graph(0), Graph(1)
     with pytest.raises(ValueError):
         closed_twin_kappa(empty.closed, empty.twin_sets)

@@ -104,6 +104,35 @@ def test_trees_and_cycles():
         assert kappa_deletion_contraction(cycle).value == n
 
 
+def test_a_class_with_k_minus_s_the_root_size_keeps_its_scan_without_a_full_root():
+    # only a root that sees every vertex makes k - s = s_root mean that a class
+    # sees nothing but the root. Here no vertex sees every other, so each graph
+    # is rooted at its first class by closed degree, and a class with that
+    # k - s sees another class instead: in the chain of cliques A = {0, 1},
+    # B = {2}, C = {3, 4}, D = {5, 6}, rooted at A (k = 3), D has
+    # k - s = 4 - 2 = |A| and sees C; in the paths P4 and P5, rooted at
+    # vertex 0, the other end has k - s = 1 and sees its one neighbour. Each
+    # is also counted relabelled, so that the root and the class move
+    rng = random.Random(61)
+    chain = [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6),
+             (5, 6)]
+    for n, edges in [(7, chain), (4, [(0, 1), (1, 2), (2, 3)]),
+                     (5, [(0, 1), (1, 2), (2, 3), (3, 4)])]:
+        label = list(range(n))
+        for _ in range(4):
+            graph = Graph.from_edges(n, [(label[a], label[b]) for a, b in edges])
+            laplacian = determinant.class_laplacian(graph.closed, graph.twin_sets)
+            root_size, _, k, _ = laplacian.root
+            assert k < n
+            seeing_others = [row for (size, _, k, _), row in zip(laplacian.classes, laplacian.off)
+                             if k - size == root_size and row]
+            assert seeing_others
+            expected = kappa_deletion_contraction(graph).value
+            assert kappa_matrix_tree(graph).value == expected
+            assert kappa_decomposed(graph).value == expected
+            rng.shuffle(label)
+
+
 def _kirchhoff_minor_count(graph: Graph) -> int:
     n = graph.n
     laplacian = [[0] * n for _ in range(n)]
@@ -192,18 +221,68 @@ def test_bundle_compares_its_two_routes(monkeypatch):
     # det(J + Q) and kappa come from two eliminations; whichever the bundle
     # computes second is compared with the first
     bundle = GroupBundle("cyclic:6")
-    monkeypatch.setattr(checks, "kappa_decomposed", lambda *args: pytest.fail("kappa computed"))
+    monkeypatch.setattr(checks, "class_kappa", lambda *args: pytest.fail("kappa computed"))
     assert bundle.det_jq == 6 ** 2 * 540  # det(J + Q) alone computes no kappa
-    monkeypatch.setattr(checks, "kappa_decomposed", lambda *args: FactoredInt.from_int(541))
+    monkeypatch.setattr(checks, "class_kappa", lambda *args: FactoredInt.from_int(541))
     with pytest.raises(ExactnessError, match=r"is not 6\^2 \* kappa"):
         bundle.kappa
     monkeypatch.undo()
     bundle = GroupBundle("cyclic:6")
     assert bundle.kappa.value == 540
-    monkeypatch.setattr(checks, "closed_twin_kappa",
-                        lambda *args, **kwargs: FactoredInt.from_int(541))
+    monkeypatch.setattr(checks, "class_det_jq", lambda *args: 6 ** 2 * 541)
     with pytest.raises(ExactnessError, match=r"is not 6\^2 \* kappa"):
         bundle.det_jq
+
+
+def _reference_class_rows(graph, drop):
+    """S L' of a power graph's closed-twin classes in ``det_sparse_symmetric``'s
+    format, keyed one vertex at a time from the graph's rows: the classes by
+    closed degree, ties in order of their smallest vertex, with the class at
+    position `drop` of that order left out. The identity's class, the one
+    class of closed degree n, is last."""
+    rows = graph.rows
+    members = {}
+    for v in range(graph.n):
+        members.setdefault(rows[v] | 1 << v, []).append(v)
+    classes = sorted(members.items(), key=lambda item: item[0].bit_count())
+    assert graph.identity_vertex in classes[-1][1]
+    del classes[drop]
+    diag = [(len(vs) * (key.bit_count() - len(vs)), 1) for key, vs in classes]
+    off = [{j: (-len(vs) * len(ws), 1) for j, (_, ws) in enumerate(classes)
+            if j != i and key >> ws[0] & 1}
+           for i, (key, vs) in enumerate(classes)]
+    return diag, off
+
+
+@pytest.mark.parametrize("spec", sorted(load_manifest()))
+def test_kappa_and_det_jq_are_two_eliminations_rooted_apart(monkeypatch, spec):
+    # the bundle builds one class Laplacian, but its two routes stay two
+    # eliminations: reading kappa and det_jq, in either order, runs exactly
+    # two. kappa's matrix is rooted at the identity's class and has no row
+    # for it; det_jq's is rooted at the first class by closed degree, with no
+    # row for that class and the identity's row last. A complete graph is one
+    # class and eliminates nothing
+    group = build_group(spec)
+    graph = build_power_graph(group)
+    expected = {"kappa": _reference_class_rows(graph, -1), "det_jq": _reference_class_rows(graph, 0)}
+    eliminate = determinant.det_sparse_symmetric
+    for reads in (("kappa", "det_jq"), ("det_jq", "kappa")):
+        seen = []
+
+        def recording(diag, off):
+            seen.append((list(diag), [row.copy() for row in off]))
+            return eliminate(diag, off)
+
+        monkeypatch.setattr(determinant, "det_sparse_symmetric", recording)
+        bundle = GroupBundle(group)
+        for read in reads:
+            getattr(bundle, read)
+        monkeypatch.undo()
+        if expected["kappa"][0]:
+            assert seen == [expected[read] for read in reads]
+        else:
+            assert seen == []
+        assert bundle.det_jq == graph.n ** 2 * bundle.kappa.value
 
 
 def test_alternating_five_count():
@@ -333,6 +412,9 @@ def test_block_counts_multiply_to_the_whole_graph_count(graph):
         product *= determinant.closed_twin_kappa(block.closed, block.twin_sets, block.n - 1).value
     assert product == whole
     assert kappa_decomposed(graph).value == whole
+    # det_jq's elimination, rooted at the first class by closed degree
+    laplacian = determinant.class_laplacian(graph.closed, graph.twin_sets, u)
+    assert determinant.class_det_jq(laplacian) == graph.n ** 2 * whole
 
 
 def test_kappa_decomposed_is_one_elimination_without_a_split(monkeypatch):
@@ -439,19 +521,23 @@ KAPPA_BLOCKS_SPECS = ("quaternion:256", "sym:6", "psl2:13", "alt:6", "sym:5 x cy
 
 
 def _kernel_classes(monkeypatch, count):
-    """The count `count()` gives, and the classes the kernel eliminates, as
-    (closed neighbourhood, size, representative) in elimination order after
-    the root's size; a complete graph is one class and eliminates nothing.
-    Each class's closed degree must be its key's bit count."""
+    """The count `count()` gives, and the class Laplacian it eliminates: the root
+    as (closed neighbourhood, size, representative), the other classes the
+    same way in elimination order, and the rows of S L'. A complete graph is
+    one class, the root, and has no rows. Each class's closed degree must be
+    its key's bit count."""
     seen = []
-    eliminate = determinant._det_class_laplacian
+    build = determinant.class_laplacian
 
-    def recording(classes, root_size):
+    def recording(*args):
+        laplacian = build(*args)
+        classes = [laplacian.root, *laplacian.classes]
         assert all(k == key.bit_count() for _, _, k, key in classes)
-        seen.append((root_size, [(key, size, rep) for size, rep, _, key in classes]))
-        return eliminate(classes, root_size)
+        seen.append(([(key, size, rep) for size, rep, _, key in classes],
+                     list(laplacian.diag), [row.copy() for row in laplacian.off]))
+        return laplacian
 
-    monkeypatch.setattr(determinant, "_det_class_laplacian", recording)
+    monkeypatch.setattr(determinant, "class_laplacian", recording)
     kappa = count()
     monkeypatch.undo()
     return kappa, seen
@@ -471,6 +557,7 @@ def test_twin_sets_give_the_per_vertex_classes(monkeypatch, spec):
             graph.closed, graph.twin_sets, root))
         per_vertex = _kernel_classes(monkeypatch, lambda: determinant.closed_twin_kappa(
             rows_graph.closed, rows_graph.twin_sets, root))
+        assert len(per_set[1]) == 1  # one class Laplacian, built once
         assert per_set == per_vertex
 
 
@@ -592,7 +679,7 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     # a bundle whose kappa disagrees with its det(J + Q)
     bundle = checks.GroupBundle("cyclic:6")
     bundle.det_jq
-    checks.kappa_decomposed = lambda *args: FactoredInt.from_int(541)
+    checks.class_kappa = lambda *args: FactoredInt.from_int(541)
     print("det-jq", raises(lambda: bundle.kappa))
     # an elimination not divisible by the product of the class sizes: the paw's
     # root class {0, 1} has size 2 and closed degree 3, its others size 1
@@ -604,6 +691,9 @@ _OPTIMISED_CHECKS = textwrap.dedent("""
     # division by the class sizes comes before any factoring
     print("class-laplacian-cofactor",
           raises(lambda: determinant.closed_twin_kappa(paw.closed, paw.twin_sets, 0, factor_bound=1)))
+    # and det_jq's own elimination, on cyclic:6's classes of sizes 3, 2 and 1
+    laplacian = determinant.class_laplacian(graph.closed, graph.twin_sets, 0)
+    print("class-laplacian-det-jq", raises(lambda: determinant.class_det_jq(laplacian)))
     # a determinant that is not divisible by n^2
     treecount.det_bareiss = lambda matrix: 1
     print("matrix-tree", raises(lambda: treecount.kappa_matrix_tree(path)))
@@ -618,7 +708,7 @@ def test_exactness_checks_survive_python_optimisation():
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["cross-check", "True", "det-jq", "True",
                                    "class-laplacian", "True", "class-laplacian-cofactor", "True",
-                                   "matrix-tree", "True"]
+                                   "class-laplacian-det-jq", "True", "matrix-tree", "True"]
 
 
 def test_counting_does_not_import_numpy():
