@@ -158,10 +158,31 @@ def _trial_runs() -> list[tuple[int, int]]:
             for start in range(0, len(primes), _TRIAL_RUN)]
 
 
+@cache
+def _first_run() -> list[int]:
+    """The trial table's first run, the first _TRIAL_RUN primes, read from the
+    kept list while it is still short of the whole table."""
+    return list(islice(iter_primes(), _TRIAL_RUN))
+
+
 def _trial_divisors():
     """The trial divisors in ascending order, without end: the primes below
-    _TRIAL_TABLE_LIMIT, then every odd number past it."""
-    return chain(_trial_primes(), count(_TRIAL_TABLE_LIMIT + 1, 2))
+    _TRIAL_TABLE_LIMIT, then every odd number past it. The table past its
+    first run is sieved only when a walk gets there, so a number whose
+    factors are found within the first run sieves no more than that run."""
+    return chain.from_iterable(_trial_sections())
+
+
+def _trial_sections():
+    yield _first_run()
+    yield _past_first_run()
+    yield count(_TRIAL_TABLE_LIMIT + 1, 2)
+
+
+@cache
+def _past_first_run() -> list[int]:
+    """The trial table after its first run."""
+    return _trial_primes()[_TRIAL_RUN:]
 
 
 def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
@@ -176,7 +197,7 @@ def trial_divide(n: int, bound: int) -> tuple[dict[int, int], int]:
     """
     factors: dict[int, int] = {}
     rem = n
-    first_run_end = _trial_primes()[_TRIAL_RUN - 1]
+    first_run_end = _first_run()[-1]
     divisors = _trial_divisors()
     for p in divisors:
         if rem <= 1 or p > bound:

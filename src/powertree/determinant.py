@@ -208,12 +208,11 @@ def class_laplacian(closed, twin_sets, root=None) -> ClassLaplacian:
             raise ValueError("a set of closed twins is empty")
         vertex_count += size
         rep = members[0]
-        entry = classes.get(key)
-        if entry is None:
-            classes[key] = [size, rep, key.bit_count(), key]
+        entry = classes.setdefault(key, [0, rep, 0, key])
+        if not entry[0]:
+            entry[2] = key.bit_count()
             covered |= key
-        else:
-            entry[0] += size
+        entry[0] += size
         if rep == root:
             root_key = key
     if not vertex_count:

@@ -5,7 +5,7 @@ import itertools
 import re
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -66,6 +66,18 @@ def _grow(members: set, frontier: list, maps, stop: int | None = None) -> set:
             break
         frontier = [f(x) for x in fresh for f in maps]
     return members
+
+
+def _gcd_row(m: int) -> list[int]:
+    """[gcd(k, m) for k in range(m)], with no gcd taken: gcd(k, m) is the
+    largest divisor of m that divides k, so each divisor d < m, in
+    ascending order, is written over every d-th entry, and gcd(0, m) = m."""
+    row = [1] * m
+    low = [d for d in range(2, isqrt(m) + 1) if not m % d]
+    for d in low + [m // d for d in reversed(low) if d * d != m]:
+        row[::d] = [d] * -(-m // d)
+    row[0] = m
+    return row
 
 
 class FiniteGroup:
@@ -175,7 +187,7 @@ class FiniteGroup:
                     m = len(walk)
                     row = gcd_rows.get(m)
                     if row is None:
-                        row = gcd_rows[m] = [gcd(k, m) for k in range(m)]
+                        row = gcd_rows[m] = _gcd_row(m)
                     for x, d in zip(walk, row):  # the identity, where d = m, is made already
                         if made[x] is None:
                             t = made[walk[d]]

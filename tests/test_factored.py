@@ -85,6 +85,29 @@ def test_one_kept_prime_list_serves_every_reader(monkeypatch, trial_table_first)
         arith._trial_primes.cache_clear()
 
 
+def test_numbers_factored_within_the_first_run_sieve_no_more(monkeypatch):
+    # from an empty kept list: factors found within the trial table's first
+    # run leave the rest of the table unsieved; the first number that walks
+    # past the run sieves it, and both factor as the whole table does
+    monkeypatch.setattr(arith, "_kept", [])
+    monkeypatch.setattr(arith, "_kept_limit", 0)
+    arith._trial_primes.cache_clear()
+    arith._first_run.cache_clear()
+    arith._past_first_run.cache_clear()
+    try:
+        assert arith.trial_divide(1024, 10 ** 4) == ({2: 10}, 1)
+        assert arith.trial_divide(43 ** 2 * 131, 10 ** 4) == ({43: 2, 131: 1}, 1)
+        assert arith._kept_limit < 10 ** 3
+        assert arith._first_run() == primes_below(132)
+        assert arith.trial_divide(137 * 9973, 10 ** 4) == ({137: 1, 9973: 1}, 1)
+        assert arith._kept_limit >= 10 ** 4
+        assert arith.trial_divide(137 * 9973, 10 ** 3) == ({137: 1}, 9973)
+    finally:
+        arith._trial_primes.cache_clear()
+        arith._first_run.cache_clear()
+        arith._past_first_run.cache_clear()
+
+
 @pytest.mark.parametrize("exponent", [lambda p: p - 2, lambda p: (p - 2) * (p + 1)])
 def test_smallest_prime_power_above_at_the_boundaries(exponent):
     def first_above(value):  # every power multiplied out

@@ -151,6 +151,13 @@ def test_cyclic_subgroups_partition_the_generators(spec):
         assert all(table.which[g] == i for g in generators)
 
 
+def test_gcd_row_is_the_gcd_of_each_power():
+    # the walk's row, written divisor by divisor, against gcd itself: every
+    # order up to 400, and the largest the order cap allows in each shape
+    for m in list(range(1, 401)) + [1024, 1331, 1849, 1920, 1999, 2000]:
+        assert groups._gcd_row(m) == [gcd(k, m) for k in range(m)], m
+
+
 @pytest.mark.parametrize("spec", TABLE_GROUPS + KAPPA_BLOCK_GROUPS + ["sym:1", "alt:1", "alt:2"])
 def test_cyclic_subgroup_table_matches_the_powers_of_each_element(spec):
     group = build_group(spec)
