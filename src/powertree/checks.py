@@ -89,12 +89,6 @@ class GroupBundle:
             self._det_jq = det_jq
         return self._det_jq
 
-    @cached_property
-    def det_jq_short(self) -> str:
-        """det(J + Q) as ``decimal_short`` writes it, formatted once for every
-        row whose witness quotes it."""
-        return decimal_short(self.det_jq)
-
     @property
     def kappa(self) -> FactoredInt:
         """kappa of the full power graph, eliminated rooted at the identity's class,
@@ -175,7 +169,7 @@ def _det_divisor_row(bundle: GroupBundle, claim_id: str, lead: str, divisor: int
     return VerificationResult(
         claim_id, bundle.label, holds,
         f"{lead} {'divides' if holds else 'does not divide'} det(J+Q) = "
-        f"{bundle.det_jq_short}{note}",
+        f"{decimal_short(det)}{note}",
     )
 
 

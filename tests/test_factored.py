@@ -85,29 +85,6 @@ def test_one_kept_prime_list_serves_every_reader(monkeypatch, trial_table_first)
         arith._trial_primes.cache_clear()
 
 
-def test_numbers_factored_within_the_first_run_sieve_no_more(monkeypatch):
-    # from an empty kept list: factors found within the trial table's first
-    # run leave the rest of the table unsieved; the first number that walks
-    # past the run sieves it, and both factor as the whole table does
-    monkeypatch.setattr(arith, "_kept", [])
-    monkeypatch.setattr(arith, "_kept_limit", 0)
-    arith._trial_primes.cache_clear()
-    arith._first_run.cache_clear()
-    arith._past_first_run.cache_clear()
-    try:
-        assert arith.trial_divide(1024, 10 ** 4) == ({2: 10}, 1)
-        assert arith.trial_divide(43 ** 2 * 131, 10 ** 4) == ({43: 2, 131: 1}, 1)
-        assert arith._kept_limit < 10 ** 3
-        assert arith._first_run() == primes_below(132)
-        assert arith.trial_divide(137 * 9973, 10 ** 4) == ({137: 1, 9973: 1}, 1)
-        assert arith._kept_limit >= 10 ** 4
-        assert arith.trial_divide(137 * 9973, 10 ** 3) == ({137: 1}, 9973)
-    finally:
-        arith._trial_primes.cache_clear()
-        arith._first_run.cache_clear()
-        arith._past_first_run.cache_clear()
-
-
 @pytest.mark.parametrize("exponent", [lambda p: p - 2, lambda p: (p - 2) * (p + 1)])
 def test_smallest_prime_power_above_at_the_boundaries(exponent):
     def first_above(value):  # every power multiplied out
@@ -393,55 +370,26 @@ def test_trial_division_over_the_prime_table_matches_every_odd_number():
     numbers += [rng.choice(near_the_end) * rng.choice(near_the_end) * rng.randrange(1, 10 ** 6)
                 for _ in range(40)]
     numbers += [rng.randrange(1, 10 ** 12) for _ in range(40)]
-    for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001, 10007, 10008, 10 ** 5):
-        for n in numbers:
-            assert arith.trial_divide(n, bound) == _odd_trial_divide(n, bound), (n, bound)
-
-
-def _prime_by_prime_trial_divide(n, bound):
-    """trial_divide one table prime at a time, with no runs: the reference
-    for the runs. Returns the factors as (prime, exponent) pairs in the
-    order found, and the cofactor."""
-    factors = {}
-    rem = n
-    for p in itertools.chain(arith._trial_primes(), itertools.count(10_001, 2)):
-        if rem <= 1 or p > bound:
-            break
-        if p * p > rem:
-            if rem <= bound:
-                factors[rem] = factors.get(rem, 0) + 1
-                rem = 1
-            break
-        while rem % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            rem //= p
-    return list(factors.items()), rem
-
-
-def test_trial_division_by_runs_matches_one_prime_at_a_time():
+    cases = [(n, bound) for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001,
+                                      10007, 10008, 10 ** 5) for n in numbers]
+    # numbers whose primes are all at most 131, then ones with a prime past it
+    cases += [(1024, 10 ** 4), (43 ** 2 * 131, 10 ** 4), (137 * 9973, 10 ** 4), (137 * 9973, 10 ** 3)]
     # a smooth part over the table (and just past it) times a cofactor of
-    # each kind: none, below the table's end, a product of two primes near
-    # it, up to 10^8 and up to 10^40; each value at one of the bounds in
-    # turn, 1000 and 5000 inside runs past the first
-    primes = arith._trial_primes()
-    near_the_end = [9949, 9967, 9973, 10007, 10009, 10037]
-    rng = random.Random(33)
+    # each kind in turn: none, below the table's end, a product of two primes
+    # near it, up to 10^8 and up to 10^40; each at one of the bounds in turn
+    # (five kinds and nine bounds, so every pair comes up)
+    around_the_end = [9949, 9967, 9973, 10007, 10009, 10037]
+    cofactors = (lambda: 1, lambda: rng.randrange(1, 10 ** 4),
+                 lambda: rng.choice(around_the_end) * rng.choice(around_the_end),
+                 lambda: rng.randrange(1, 10 ** 8), lambda: rng.randrange(1, 10 ** 40))
     bounds = (1, 2, 100, 1000, 5000, 9973, 10 ** 4, 10007, 10 ** 5)
-    for k in range(36_000):
+    for k in range(360):
         smooth = 1
         for _ in range(rng.randrange(7)):
-            smooth *= rng.choice(primes if rng.random() < 0.9 else near_the_end) ** rng.randint(1, 3)
-        kind = rng.random()
-        if kind < 0.35:
-            cofactor = 1
-        elif kind < 0.7:
-            cofactor = rng.randrange(1, 10 ** 4)
-        elif kind < 0.8:
-            cofactor = rng.choice(near_the_end) * rng.choice(near_the_end)
-        elif kind < 0.99:
-            cofactor = rng.randrange(1, 10 ** 8)
-        else:
-            cofactor = rng.randrange(1, 10 ** 40)
-        n, bound = smooth * cofactor, bounds[k % len(bounds)]
+            smooth *= rng.choice(primes if rng.random() < 0.9 else around_the_end) ** rng.randint(1, 3)
+        cases.append((smooth * cofactors[k % len(cofactors)](), bounds[k % len(bounds)]))
+    for n, bound in cases:
         factors, rem = arith.trial_divide(n, bound)
-        assert (list(factors.items()), rem) == _prime_by_prime_trial_divide(n, bound), (n, bound)
+        expected = _odd_trial_divide(n, bound)
+        # the primes found come in ascending order
+        assert (list(factors.items()), rem) == (list(expected[0].items()), expected[1]), (n, bound)
