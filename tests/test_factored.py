@@ -356,6 +356,14 @@ def _odd_trial_divide(n, bound):
     return factors, rem
 
 
+def _assert_divides_as_every_odd_number(cases):
+    for n, bound in cases:
+        factors, rem = arith.trial_divide(n, bound)
+        expected = _odd_trial_divide(n, bound)
+        # the primes found come in ascending order
+        assert (list(factors.items()), rem) == (list(expected[0].items()), expected[1]), (n, bound)
+
+
 def test_trial_division_over_the_prime_table_matches_every_odd_number():
     # the table holds the primes below 10^4 (the last is 9973); past it the
     # candidates are odd numbers again, so factors and cofactors are unchanged
@@ -370,26 +378,34 @@ def test_trial_division_over_the_prime_table_matches_every_odd_number():
     numbers += [rng.choice(near_the_end) * rng.choice(near_the_end) * rng.randrange(1, 10 ** 6)
                 for _ in range(40)]
     numbers += [rng.randrange(1, 10 ** 12) for _ in range(40)]
-    cases = [(n, bound) for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001,
-                                      10007, 10008, 10 ** 5) for n in numbers]
-    # numbers whose primes are all at most 131, then ones with a prime past it
-    cases += [(1024, 10 ** 4), (43 ** 2 * 131, 10 ** 4), (137 * 9973, 10 ** 4), (137 * 9973, 10 ** 3)]
+    _assert_divides_as_every_odd_number(
+        (n, bound) for bound in (1, 2, 3, 96, 97, 100, 9972, 9973, 9999, 10000, 10001,
+                                 10007, 10008, 10 ** 5) for n in numbers)
+
+
+def test_numbers_with_primes_on_both_sides_of_131_divide_as_every_odd_number():
+    # numbers whose primes are all at most 131, then ones with a prime past it,
+    # under a bound past the table's end and one inside it
+    _assert_divides_as_every_odd_number(
+        [(1024, 10 ** 4), (43 ** 2 * 131, 10 ** 4), (137 * 9973, 10 ** 4), (137 * 9973, 10 ** 3)])
+
+
+def test_smooth_numbers_times_each_cofactor_kind_divide_as_every_odd_number():
     # a smooth part over the table (and just past it) times a cofactor of
     # each kind in turn: none, below the table's end, a product of two primes
     # near it, up to 10^8 and up to 10^40; each at one of the bounds in turn
     # (five kinds and nine bounds, so every pair comes up)
+    primes = arith._trial_primes()
+    rng = random.Random(33)
     around_the_end = [9949, 9967, 9973, 10007, 10009, 10037]
     cofactors = (lambda: 1, lambda: rng.randrange(1, 10 ** 4),
                  lambda: rng.choice(around_the_end) * rng.choice(around_the_end),
                  lambda: rng.randrange(1, 10 ** 8), lambda: rng.randrange(1, 10 ** 40))
     bounds = (1, 2, 100, 1000, 5000, 9973, 10 ** 4, 10007, 10 ** 5)
+    cases = []
     for k in range(360):
         smooth = 1
         for _ in range(rng.randrange(7)):
             smooth *= rng.choice(primes if rng.random() < 0.9 else around_the_end) ** rng.randint(1, 3)
         cases.append((smooth * cofactors[k % len(cofactors)](), bounds[k % len(bounds)]))
-    for n, bound in cases:
-        factors, rem = arith.trial_divide(n, bound)
-        expected = _odd_trial_divide(n, bound)
-        # the primes found come in ascending order
-        assert (list(factors.items()), rem) == (list(expected[0].items()), expected[1]), (n, bound)
+    _assert_divides_as_every_odd_number(cases)
